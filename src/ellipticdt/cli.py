@@ -160,11 +160,10 @@ def _cmd_vertex(cfg, out):
     lam, mu, nu = cfg.legs
     leg = LegConfig(lam, mu, nu)
     if cfg.p_order > 12 or leg.total_size() > 6:
-        boxes, nodes = estimate_nodes(leg, cfg.p_order)
+        (boxes,) = estimate_nodes(leg, cfg.p_order)
         sys.stderr.write(
             "warning: large enumeration (order %d, total leg size %d): "
-            "candidate poset has %d boxes, on the order of %d search nodes\n"
-            % (cfg.p_order, leg.total_size(), boxes, nodes)
+            "candidate poset has %d boxes\n" % (cfg.p_order, leg.total_size(), boxes)
         )
     rec = tilde_vertex(leg, cfg.p_order, cfg.cache())
     if cfg.fmt == "json":

@@ -8,6 +8,14 @@ Enumeration is the single source of truth here: no product formula or trace
 identity is ever used to produce these numbers (they are what the identity
 checks test).
 
+The count is a transfer matrix over tau-slices: an ideal is cut into the
+sequence of its 2D slices at heights tau = 0, 1, ..., as 3D partitions are
+sliced in Okounkov-Reshetikhin-Vafa (hep-th/0306032).  Each state is one 2D
+ideal J together with the size polynomial of the ideals cut off at height tau
+whose top slice is J, and the 2D ideals of each slice are enumerated
+exhaustively.  Only this counting is taken
+from the slicing picture; no Schur-function formula is used.
+
 Box membership convention (shared with partitions.Partition.contains):
 a box (rho, sigma, tau) lies in
 
@@ -20,10 +28,8 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import tempfile
 from dataclasses import dataclass
-from heapq import merge as _heapmerge
 
 from .partitions import Partition
 from .series import HalfLaurent, PQSeries
@@ -132,12 +138,12 @@ def minimal_volume(cfg):
 
 
 def _candidate_poset(cfg, order):
-    """Boxes of P whose down-set within P has at most `order` elements.
+    """Boxes of P whose down-set within P has at most `order` elements, sorted.
 
-    Any order ideal of size <= order lies inside this set.  Down-set sizes are
-    computed by inclusion-exclusion dynamic programming over a bounding box in
-    which every coordinate chain below a candidate meets at most the listed
-    number of leg boxes.
+    Any order ideal of size <= order lies inside this set, and the set is itself
+    an order ideal of P.  Down-set sizes are computed by inclusion-exclusion
+    dynamic programming over a bounding box in which every coordinate chain
+    below a candidate meets at most the listed number of leg boxes.
     """
     lam, mu, nu = cfg.lam, cfg.mu, cfg.nu
     # A rho-chain below a box of P meets at most len(mu) leg-2 boxes (tau < mu[rho'])
@@ -145,19 +151,13 @@ def _candidate_poset(cfg, order):
     nr = order + mu.length() + nu.first_part()
     ns = order + lam.first_part() + nu.length()
     nt = order + lam.length() + mu.first_part()
-    in_p = [
-        [
-            [cfg.in_legs(rho, sigma, tau) == 0 for tau in range(nt)]
-            for sigma in range(ns)
-        ]
-        for rho in range(nr)
-    ]
     down = [[[0] * nt for _ in range(ns)] for _ in range(nr)]
     cands = []
     for rho in range(nr):
         for sigma in range(ns):
             for tau in range(nt):
-                v = 1 if in_p[rho][sigma][tau] else 0
+                in_p = cfg.in_legs(rho, sigma, tau) == 0
+                v = 1 if in_p else 0
                 if rho:
                     v += down[rho - 1][sigma][tau]
                 if sigma:
@@ -173,63 +173,100 @@ def _candidate_poset(cfg, order):
                 if rho and sigma and tau:
                     v += down[rho - 1][sigma - 1][tau - 1]
                 down[rho][sigma][tau] = v
-                if in_p[rho][sigma][tau] and v <= order:
+                if in_p and v <= order:
                     cands.append((rho, sigma, tau))
-    cands.sort()
-    index = {box: i for i, box in enumerate(cands)}
-    preds = []
-    succs = [[] for _ in cands]
-    for i, (rho, sigma, tau) in enumerate(cands):
-        plist = []
-        for below in ((rho - 1, sigma, tau), (rho, sigma - 1, tau), (rho, sigma, tau - 1)):
-            if min(below) < 0:
-                continue
-            if not in_p[below[0]][below[1]][below[2]]:
-                continue
-            j = index[below]  # a predecessor in P always qualifies as a candidate
-            plist.append(j)
-            succs[j].append(i)
-        preds.append(plist)
-    return cands, preds, succs
+    return cands
 
 
-def _count_ideals(preds, succs, order):
-    """Counts of order ideals by size, each ideal generated exactly once.
+def _slice_counts(cands, order):
+    """Counts of order ideals by size, built one tau-slice at a time.
 
-    Branches on the lexicographically smallest ready element; the exclude
-    branch leaves the element undecided forever, which removes its entire
-    up-set from play because successors never lose their last blocked
-    predecessor.
+    P is upward closed in Z^3_{>=0}, so its order is generated by the three
+    unit covering relations inside P, and an ideal is exactly a sequence of
+    2D ideals J_0, J_1, ... of the tau-slices in which a box (r, s, tau) may
+    enter J_tau only when its tau-predecessor (r, s, tau - 1) is not in P or
+    lies in J_{tau-1}.  A box of P below a candidate is a candidate, so "not
+    in P" reads "not a candidate" here.  A transfer-matrix state is one J_tau,
+    a bitmask over the slice's sorted boxes, mapped to the size polynomial
+    (truncated at `order`) of all ideals ending in it.
     """
+    slices = {}
+    for rho, sigma, tau in cands:  # sorted, so each slice comes out sorted
+        slices.setdefault(tau, []).append((rho, sigma))
+    states = {0: [1] + [0] * order}
+    below = {}  # (rho, sigma) -> bit of that box in the slice underneath
+    for tau in range(max(slices, default=-1) + 1):
+        cells = slices.get(tau, [])
+        bit = {cell: j for j, cell in enumerate(cells)}
+        preds, succs, free, lifts = [], [], 0, []
+        for j, (rho, sigma) in enumerate(cells):
+            mask = 0
+            for cell in ((rho - 1, sigma), (rho, sigma - 1)):
+                if cell in bit:
+                    mask |= 1 << bit[cell]
+            preds.append(mask)
+            succs.append([bit[c] for c in ((rho + 1, sigma), (rho, sigma + 1)) if c in bit])
+            if (rho, sigma) in below:
+                lifts.append((below[(rho, sigma)], 1 << j))
+            else:
+                free |= 1 << j
+        # States that allow the same boxes of this slice share one 2D search.
+        by_allowed = {}
+        for ideal, poly in states.items():
+            allowed = free
+            for b, m in lifts:
+                if ideal >> b & 1:
+                    allowed |= m
+            acc = by_allowed.get(allowed)
+            if acc is None:
+                by_allowed[allowed] = poly
+            else:
+                by_allowed[allowed] = [a + c for a, c in zip(acc, poly)]
+        states = {}
+        for allowed, poly in by_allowed.items():
+            low = next(n for n, c in enumerate(poly) if c)
+            for ideal, k in _slice_ideals(preds, succs, allowed, order - low):
+                acc = states.get(ideal)
+                if acc is None:
+                    states[ideal] = acc = [0] * (order + 1)
+                for n in range(low, order + 1 - k):
+                    acc[n + k] += poly[n]
+        below = bit
     counts = [0] * (order + 1)
-    npred = [len(p) for p in preds]
-    ready0 = [i for i, n in enumerate(npred) if n == 0]
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * len(preds) + 10000))
-
-    def rec(ready, size):
-        if not ready:
-            counts[size] += 1
-            return
-        if size == order:
-            counts[order] += 1
-            return
-        m = ready[0]
-        rest = ready[1:]
-        rec(rest, size)
-        opened = []
-        for s in succs[m]:
-            npred[s] -= 1
-            if not npred[s]:
-                opened.append(s)
-        if opened:
-            rec(list(_heapmerge(rest, opened)), size + 1)
-        else:
-            rec(rest, size + 1)
-        for s in succs[m]:
-            npred[s] += 1
-
-    rec(ready0, 0)
+    for poly in states.values():
+        for n, c in enumerate(poly):
+            counts[n] += c
     return counts
+
+
+def _slice_ideals(preds, succs, allowed, cap):
+    """Yield (bitmask, size) of every 2D ideal of at most `cap` boxes inside `allowed`.
+
+    preds[j] is the bitmask of box j's in-slice predecessors and succs[j] lists
+    its in-slice successors.  Each ideal is generated once by branching on the
+    lowest ready box: it is either added, or skipped for good, which removes
+    its whole up-set because those boxes never become ready.
+    """
+    yield 0, 0
+    ready = 0
+    for j, mask in enumerate(preds):
+        if not mask and allowed >> j & 1:
+            ready |= 1 << j
+    stack = [(0, ready, 0)] if cap > 0 else []
+    while stack:
+        ideal, ready, k = stack.pop()
+        k += 1
+        while ready:
+            low = ready & -ready
+            ready ^= low
+            grown = ideal | low
+            opened = ready
+            for s in succs[low.bit_length() - 1]:
+                if allowed >> s & 1 and not preds[s] & ~grown:
+                    opened |= 1 << s
+            yield grown, k
+            if k < cap:
+                stack.append((grown, opened, k))
 
 
 # in-memory memo: leg parts -> VertexRecord at the largest order computed so far
@@ -245,8 +282,9 @@ class VertexCache:
     """Directory of JSON vertex records keyed by the canonical leg/order string.
 
     Lookups use the exact key only; writes are atomic (temp file + rename), so
-    concurrent identical computations race benignly.  IO failures are treated
-    as cache misses.
+    concurrent identical computations race benignly.  IO failures, and records
+    whose legs, order or counts do not fit the key, are treated as cache
+    misses, so a damaged or misplaced file never changes a result.
     """
 
     def __init__(self, directory):
@@ -258,9 +296,16 @@ class VertexCache:
     def get(self, cfg, order):
         try:
             with open(self._path(cfg.canonical_key(order)), "r", encoding="utf-8") as fh:
-                return VertexRecord.from_json_dict(json.load(fh))
-        except (OSError, ValueError, KeyError):
+                rec = VertexRecord.from_json_dict(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError):
             return None
+        if (
+            (rec.lam, rec.mu, rec.nu, rec.order) != (cfg.lam, cfg.mu, cfg.nu, order)
+            or len(rec.counts) != order + 1
+            or rec.counts[0] != 1
+        ):
+            return None
+        return rec
 
     def put(self, record):
         cfg = LegConfig(record.lam, record.mu, record.nu)
@@ -295,8 +340,7 @@ def tilde_vertex(cfg, order, cache=None):
             if memo is None or memo.order < rec.order:
                 _MEMO[mkey] = rec
             return rec
-    _, preds, succs = _candidate_poset(cfg, order)
-    counts = _count_ideals(preds, succs, order)
+    counts = _slice_counts(_candidate_poset(cfg, order), order)
     rec = VertexRecord(
         lam=cfg.lam,
         mu=cfg.mu,
@@ -341,13 +385,12 @@ def vertex(cfg, order, q_order=0, cache=None):
 
 
 def estimate_nodes(cfg, order):
-    """Rough search-tree size estimate for a prospective enumeration.
+    """A 1-tuple holding the candidate-box count of a prospective enumeration.
 
-    Computes the candidate poset (cheap) and scales by the order; used by the
-    CLI to warn before very large runs.
+    Building the candidate poset is cheap next to counting; the CLI reports
+    its size before very large runs.
     """
-    cands, _, _ = _candidate_poset(cfg, order)
-    return len(cands), (order + 1) * len(cands)
+    return (len(_candidate_poset(cfg, order)),)
 
 
 def minimal_element_count(cfg, span=None):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ from ellipticdt.series import linear_factor, macmahon_p, ring_op
 from ellipticdt.vertex import (
     LegConfig,
     VertexCache,
+    clear_memo,
     minimal_element_count,
     minimal_volume,
     tilde_vertex,
@@ -17,6 +19,27 @@ from ellipticdt.vertex import (
 )
 
 PLANE = (1, 1, 3, 6, 13, 24, 48, 86, 160)
+
+# Reference counts recorded with the earlier recursive ideal enumerator, which
+# built every ideal one box at a time; they pin the slice counter at depths the
+# BFS oracle cannot reach.
+DEEP_COUNTS = {
+    ((), (), (), 18): (
+        1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500, 859, 1479, 2485, 4167, 6879,
+        11297, 18334, 29601,
+    ),
+    ((3, 2, 1), (3, 2, 1), (), 14): (
+        1, 4, 15, 46, 128, 329, 800, 1850, 4118, 8859, 18518, 37732, 75184,
+        146809, 281533,
+    ),
+    ((2, 1), (2, 1), (2, 1), 12): (
+        1, 4, 15, 46, 128, 327, 791, 1816, 4011, 8556, 17729, 35794, 70661,
+    ),
+    # the minimal configuration buries addable boxes strictly inside the octant
+    ((2, 1), (3, 1), (), 12): (
+        1, 4, 13, 37, 95, 228, 519, 1131, 2378, 4852, 9642, 18728, 35644,
+    ),
+}
 
 
 def brute_counts(cfg, order):
@@ -101,6 +124,30 @@ def test_against_independent_bfs_oracle():
     for parts in cases:
         cfg = legs(*parts)
         assert tilde_vertex(cfg, 5).counts == brute_counts(cfg, 5)
+
+
+def test_against_bfs_oracle_three_legs_order_6():
+    cfg = legs((2, 1), (1,), (1, 1))
+    assert tilde_vertex(cfg, 6).counts == brute_counts(cfg, 6)
+
+
+@pytest.mark.parametrize("key", sorted(DEEP_COUNTS))
+def test_deep_reference_counts(key):
+    *parts, order = key
+    clear_memo()
+    assert tilde_vertex(legs(*parts), order).counts == DEEP_COUNTS[key]
+
+
+def test_enumeration_leaves_recursion_limit_alone():
+    # start from the interpreter default, in case an earlier caller raised it
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        clear_memo()
+        tilde_vertex(legs((4, 2, 1), (3, 1), (2,)), 10)
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def test_against_bfs_oracle_randomized():
@@ -210,11 +257,54 @@ def test_cache_corruption_is_a_miss(tmp_path):
     with open(path, "w") as fh:
         fh.write("{broken")
     assert cache.get(cfg, 4) is None
+    with open(path, "w") as fh:
+        fh.write("[]")
+    assert cache.get(cfg, 4) is None
     # recomputation still works and matches
-    from ellipticdt.vertex import clear_memo
-
     clear_memo()
     assert tilde_vertex(cfg, 4, cache) == rec1
+
+
+def _rewrite_record(cache, cfg, order, changes):
+    path = cache._path(cfg.canonical_key(order))
+    with open(path) as fh:
+        data = json.load(fh)
+    data.update(changes)
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+
+
+def test_cache_truncated_record_is_a_miss(tmp_path):
+    cache = VertexCache(tmp_path)
+    cfg = legs((2, 1), (1,), ())
+    rec1 = tilde_vertex(cfg, 6, cache)
+    _rewrite_record(cache, cfg, 6, {"counts": [str(c) for c in rec1.counts[:3]]})
+    assert cache.get(cfg, 6) is None
+    clear_memo()
+    assert tilde_vertex(cfg, 6, cache) == rec1
+    assert cache.get(cfg, 6) == rec1  # the damaged file was rewritten
+
+
+def test_cache_record_with_other_legs_is_a_miss(tmp_path):
+    cache = VertexCache(tmp_path)
+    cfg = legs((2,), (1,), ())
+    rec1 = tilde_vertex(cfg, 5, cache)
+    _rewrite_record(cache, cfg, 5, {"lam": [1, 1]})
+    assert cache.get(cfg, 5) is None
+    clear_memo()
+    assert tilde_vertex(cfg, 5, cache) == rec1
+
+
+def test_cache_record_with_bad_order_or_constant_term_is_a_miss(tmp_path):
+    cache = VertexCache(tmp_path)
+    cfg = legs((1,), (), ())
+    rec1 = tilde_vertex(cfg, 4, cache)
+    _rewrite_record(cache, cfg, 4, {"order": 5})
+    assert cache.get(cfg, 4) is None
+    _rewrite_record(cache, cfg, 4, {"order": 4, "counts": ["2", "2", "5", "11", "24"]})
+    assert cache.get(cfg, 4) is None
+    _rewrite_record(cache, cfg, 4, {"counts": [str(c) for c in rec1.counts]})
+    assert cache.get(cfg, 4) == rec1
 
 
 def test_record_slicing_consistency():
