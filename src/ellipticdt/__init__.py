@@ -34,7 +34,6 @@ from .series import (
     macmahon_p,
     power,
     ring_op,
-    standard_series,
     substitute_neg_p,
     theta,
 )

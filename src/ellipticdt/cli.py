@@ -459,16 +459,17 @@ def _check_all(cfg, out):
     record("tangent-parity", ok)
 
     failures = [r for r in results if not r[1]]
-    for name, okflag, detail in results:
-        line = "%s %s" % ("PASS" if okflag else "FAIL", name)
-        if detail:
-            line += "  [%s]" % detail
-        out.write(line + "\n")
     if cfg.fmt == "json":
         _emit_json(
             {"results": [{"check": n, "equal": okf, "detail": det} for n, okf, det in results]},
             out,
         )
+    else:
+        for name, okflag, detail in results:
+            line = "%s %s" % ("PASS" if okflag else "FAIL", name)
+            if detail:
+                line += "  [%s]" % detail
+            out.write(line + "\n")
     return 0 if not failures else 2
 
 

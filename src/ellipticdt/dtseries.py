@@ -15,7 +15,9 @@ All p-exponents are in half-units (see series module).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from .partitions import BOX, EMPTY, enumerate_partitions
 from .series import (
@@ -98,35 +100,64 @@ def F1F2(order, cache=None):
     return f1, f2
 
 
+def _sum(terms):
+    """Left-to-right sum of a nonempty iterable of series."""
+    return reduce(operator.add, terms)
+
+
+def _product(factors, q_order):
+    """Left-to-right product of a list of series; 1 when the list is empty."""
+    return reduce(operator.mul, factors) if factors else PQSeries.one(q_order)
+
+
+# ---------------------------------------------------------------------------
+# The three vertex sums of the trace identities, one q-free row per degree d
+
+
+def _smooth_row(d, t):
+    """Sum over lam |- d of V~(lam,box,empty)/V~(lam,empty,empty) * p^(-lam_1)."""
+    return _sum(
+        (t(lam, BOX, EMPTY) * invert(t(lam, EMPTY, EMPTY))).shift_p(-2 * lam.first_part())
+        for lam in enumerate_partitions(d)
+    )
+
+
+def _nodal_row(d, t):
+    """Sum over mu |- d of V~(mu,mu',empty) V~(mu,box,empty)/V~(mu,empty,empty) * p^(-mu_1)."""
+    return _sum(
+        (
+            t(mu, mu.conjugate(), EMPTY) * t(mu, BOX, EMPTY) * invert(t(mu, EMPTY, EMPTY))
+        ).shift_p(-2 * mu.first_part())
+        for mu in enumerate_partitions(d)
+    )
+
+
+def _fiber_series(q_order, t):
+    """Row d is the sum over mu |- d of V~(mu,mu',empty)/V~(empty), for d <= q_order.
+
+    Only ever used as a whole series, so 1/V~(empty) is inverted once, not per row.
+    """
+    inv_empty = invert(t(EMPTY, EMPTY, EMPTY))
+    return _stack_q(
+        [
+            _sum(t(mu, mu.conjugate(), EMPTY) for mu in enumerate_partitions(d)) * inv_empty
+            for d in range(q_order + 1)
+        ]
+    )
+
+
 def _smooth_weight(a, t):
-    """g(a) as a q-free series: the smooth-fiber weight summed over partitions of a."""
+    """g(a) as a q-free series: V~(empty)/V~(box) times the smooth row."""
     if a == 0:
         return PQSeries.one(0)
-    box_ratio = t(EMPTY, EMPTY, EMPTY) * invert(t(BOX, EMPTY, EMPTY))
-    out = None
-    for lam in enumerate_partitions(a):
-        term = box_ratio * t(lam, BOX, EMPTY) * invert(t(lam, EMPTY, EMPTY))
-        term = term.shift_p(-2 * lam.first_part())
-        out = term if out is None else out + term
-    return out
+    return t(EMPTY, EMPTY, EMPTY) * invert(t(BOX, EMPTY, EMPTY)) * _smooth_row(a, t)
 
 
 def _nodal_weight(b, t):
-    """h(b) as a q-free series: the nodal-fiber weight summed over partitions of b."""
+    """h(b) as a q-free series: 1/V~(box) times the nodal row."""
     if b == 0:
         return PQSeries.one(0)
-    inv_box = invert(t(BOX, EMPTY, EMPTY))
-    out = None
-    for mu in enumerate_partitions(b):
-        term = (
-            t(mu, mu.conjugate(), EMPTY)
-            * t(mu, BOX, EMPTY)
-            * inv_box
-            * invert(t(mu, EMPTY, EMPTY))
-        )
-        term = term.shift_p(-2 * mu.first_part())
-        out = term if out is None else out + term
-    return out
+    return invert(t(BOX, EMPTY, EMPTY)) * _nodal_row(b, t)
 
 
 def g_of(a, order, cache=None):
@@ -172,23 +203,9 @@ def f_d_series(config, surf, order, mode="factored", cache=None):
     out = out * power(t(BOX, EMPTY, EMPTY), surf.eB - n - m)
     out = out.shift_p(surf.eB)  # p^(chi of the base) with chi = eB/2
     for a in config.a:
-        acc = None
-        for lam in enumerate_partitions(a):
-            term = t(lam, BOX, EMPTY) * invert(t(lam, EMPTY, EMPTY))
-            term = term.shift_p(-2 * lam.first_part())
-            acc = term if acc is None else acc + term
-        out = out * acc
+        out = out * _smooth_row(a, t)
     for b in config.b:
-        acc = None
-        for mu in enumerate_partitions(b):
-            term = (
-                t(mu, BOX, EMPTY)
-                * t(mu, mu.conjugate(), EMPTY)
-                * invert(t(mu, EMPTY, EMPTY))
-            )
-            term = term.shift_p(-2 * mu.first_part())
-            acc = term if acc is None else acc + term
-        out = out * acc
+        out = out * _nodal_row(b, t)
     return out
 
 
@@ -213,14 +230,24 @@ def _default_window(order):
     return (-(2 * order + 2), 2 * order + 2)
 
 
-def _smooth_series(q_order, order, cache):
-    t = _Tilde(order, cache)
-    return _stack_q([_smooth_weight(a, t) for a in range(q_order + 1)])
+def _macmahon_tower(q_order, pw):
+    """prod_d M(p, q^d) for 1 <= d <= q_order."""
+    factors = [macmahon(q_order, pw, shift=d) for d in range(1, q_order + 1)]
+    return _product(factors, q_order)
 
 
-def _nodal_series(q_order, order, cache):
-    t = _Tilde(order, cache)
-    return _stack_q([_nodal_weight(b, t) for b in range(q_order + 1)])
+def _inverse_euler(q_order, pw):
+    """prod_d (1 - q^d)^(-1) for 1 <= d <= q_order."""
+    factors = [linear_factor(0, d, -1, q_order, pw) for d in range(1, q_order + 1)]
+    return _product(factors, q_order)
+
+
+def _theta_tail(q_order, pw):
+    """prod_d 1/((1 - p q^d)(1 - p^(-1) q^d)) for 1 <= d <= q_order."""
+    factors = [
+        linear_factor(e, d, -1, q_order, pw) for d in range(1, q_order + 1) for e in (1, -1)
+    ]
+    return _product(factors, q_order)
 
 
 def dt_hat(surf, q_order, order, side="product", p_window=None, cache=None):
@@ -232,9 +259,10 @@ def dt_hat(surf, q_order, order, side="product", p_window=None, cache=None):
              {(p^(1/2)-p^(-1/2))^(-1) prod_d (1-q^d)/((1-p q^d)(1-p^(-1) q^d))}^eB.
     """
     if side == "sum":
+        t = _Tilde(order, cache)
         f1, f2 = F1F2(order, cache)
-        g_ser = _smooth_series(q_order, order, cache)
-        h_ser = _nodal_series(q_order, order, cache)
+        g_ser = _stack_q([_smooth_weight(a, t) for a in range(q_order + 1)])
+        h_ser = _stack_q([_nodal_weight(b, t) for b in range(q_order + 1)])
         out = power(_embed(f1, q_order), surf.eB) * power(_embed(f2, q_order), surf.eS)
         out = out * power(g_ser, surf.eB - surf.eS)
         out = out * power(h_ser, surf.eS)
@@ -242,16 +270,9 @@ def dt_hat(surf, q_order, order, side="product", p_window=None, cache=None):
     if side != "product":
         raise ValueError("side must be 'sum' or 'product'")
     pw = p_window if p_window is not None else _default_window(order)
-    s1 = macmahon_p(q_order, pw)
-    for d in range(1, q_order + 1):
-        s1 = s1 * macmahon(q_order, pw, shift=d)
-        s1 = s1 * linear_factor(0, d, -1, q_order, pw)
-    s2 = PQSeries.from_terms([(1, 1), (-1, -1)], q_order).with_p_hi(pw[1])
-    s2 = invert(s2)
-    for d in range(1, q_order + 1):
-        s2 = s2 * linear_factor(0, d, 1, q_order, pw)
-        s2 = s2 * linear_factor(1, d, -1, q_order, pw)
-        s2 = s2 * linear_factor(-1, d, -1, q_order, pw)
+    s1 = macmahon_p(q_order, pw) * _macmahon_tower(q_order, pw) * _inverse_euler(q_order, pw)
+    s2 = invert(PQSeries.from_terms([(1, 1), (-1, -1)], q_order).with_p_hi(pw[1]))
+    s2 = s2 * euler_product(q_order, pw) * _theta_tail(q_order, pw)
     return power(s1, surf.eS) * power(s2, surf.eB)
 
 
@@ -264,15 +285,7 @@ def dt_fib(surf, q_order, order, side="product", p_window=None, cache=None):
     """
     if side == "sum":
         t = _Tilde(order, cache)
-        inv_empty = invert(t(EMPTY, EMPTY, EMPTY))
-        rows = []
-        for b in range(q_order + 1):
-            acc = None
-            for mu in enumerate_partitions(b):
-                term = t(mu, mu.conjugate(), EMPTY) * inv_empty
-                acc = term if acc is None else acc + term
-            rows.append(acc)
-        h_fib = _stack_q(rows)
+        h_fib = _fiber_series(q_order, t)
         counts = PQSeries(
             q_order,
             [HalfLaurent({0: len(enumerate_partitions(d))}) for d in range(q_order + 1)],
@@ -285,13 +298,8 @@ def dt_fib(surf, q_order, order, side="product", p_window=None, cache=None):
     if side != "product":
         raise ValueError("side must be 'sum' or 'product'")
     pw = p_window if p_window is not None else _default_window(order)
-    s1 = macmahon_p(q_order, pw)
-    for d in range(1, q_order + 1):
-        s1 = s1 * macmahon(q_order, pw, shift=d)
-    s2 = PQSeries.one(q_order)
-    for d in range(1, q_order + 1):
-        s2 = s2 * linear_factor(0, d, -1, q_order, pw)
-    return power(s1, surf.eS) * power(s2, surf.eB)
+    s1 = macmahon_p(q_order, pw) * _macmahon_tower(q_order, pw)
+    return power(s1, surf.eS) * power(_inverse_euler(q_order, pw), surf.eB)
 
 
 def connected(surf, q_order, order, side="ratio", p_window=None, cache=None):
@@ -398,66 +406,25 @@ def symprod_check(g_table, e, q_order):
 def identity_a(q_order, order, cache=None, p_window=None):
     """Smooth-point trace identity: the g-weight series against its product form."""
     t = _Tilde(order, cache)
-    rows = []
-    for d in range(q_order + 1):
-        acc = None
-        for lam in enumerate_partitions(d):
-            term = t(lam, BOX, EMPTY) * invert(t(lam, EMPTY, EMPTY))
-            term = term.shift_p(-2 * lam.first_part())
-            acc = term if acc is None else acc + term
-        rows.append(acc)
     one_minus_p = PQSeries.from_terms([(0, 1), (2, -1)], q_order)
-    lhs = _stack_q(rows) * one_minus_p
+    lhs = _stack_q([_smooth_row(d, t) for d in range(q_order + 1)]) * one_minus_p
     pw = p_window if p_window is not None else _default_window(order)
-    rhs = PQSeries.one(q_order)
-    for d in range(1, q_order + 1):
-        rhs = rhs * linear_factor(0, d, 1, q_order, pw)
-        rhs = rhs * linear_factor(1, d, -1, q_order, pw)
-        rhs = rhs * linear_factor(-1, d, -1, q_order, pw)
-    return lhs, rhs
+    return lhs, euler_product(q_order, pw) * _theta_tail(q_order, pw)
 
 
 def identity_b(q_order, order, cache=None, p_window=None):
     """Nodal-point trace identity: the h-weight series against its product form."""
     t = _Tilde(order, cache)
-    rows = []
-    for d in range(q_order + 1):
-        acc = None
-        for mu in enumerate_partitions(d):
-            term = (
-                t(mu, mu.conjugate(), EMPTY)
-                * t(mu, BOX, EMPTY)
-                * invert(t(mu, EMPTY, EMPTY))
-            )
-            term = term.shift_p(-2 * mu.first_part())
-            acc = term if acc is None else acc + term
-        rows.append(acc)
     one_minus_p = PQSeries.from_terms([(0, 1), (2, -1)], q_order)
-    lhs = _stack_q(rows) * one_minus_p
+    lhs = _stack_q([_nodal_row(d, t) for d in range(q_order + 1)]) * one_minus_p
     pw = p_window if p_window is not None else _default_window(order)
-    rhs = macmahon_p(q_order, pw)
-    for d in range(1, q_order + 1):
-        rhs = rhs * macmahon(q_order, pw, shift=d)
-        rhs = rhs * linear_factor(1, d, -1, q_order, pw)
-        rhs = rhs * linear_factor(-1, d, -1, q_order, pw)
+    rhs = macmahon_p(q_order, pw) * _macmahon_tower(q_order, pw) * _theta_tail(q_order, pw)
     return lhs, rhs
 
 
 def identity_c(q_order, order, cache=None, p_window=None):
     """Fiber-class trace identity: conjugate-leg vertex ratios against their product form."""
     t = _Tilde(order, cache)
-    inv_empty = invert(t(EMPTY, EMPTY, EMPTY))
-    rows = []
-    for d in range(q_order + 1):
-        acc = None
-        for mu in enumerate_partitions(d):
-            term = t(mu, mu.conjugate(), EMPTY) * inv_empty
-            acc = term if acc is None else acc + term
-        rows.append(acc)
-    lhs = _stack_q(rows)
+    lhs = _fiber_series(q_order, t)
     pw = p_window if p_window is not None else _default_window(order)
-    rhs = PQSeries.one(q_order)
-    for d in range(1, q_order + 1):
-        rhs = rhs * linear_factor(0, d, -1, q_order, pw)
-        rhs = rhs * macmahon(q_order, pw, shift=d)
-    return lhs, rhs
+    return lhs, _inverse_euler(q_order, pw) * _macmahon_tower(q_order, pw)

@@ -292,11 +292,6 @@ class PQSeries:
             hi = max(exps) if exps else lo
         return (lo, hi)
 
-    def with_q_order(self, q_order):
-        if q_order > self.q_order:
-            raise WindowExhausted("q-order %d exceeds known order %d" % (q_order, self.q_order))
-        return PQSeries(q_order, self.coeffs[: q_order + 1], self.windows[: q_order + 1])
-
     def with_p_hi(self, hi):
         """Forget knowledge above the exponent hi (half-units) at every degree."""
         coeffs, windows = [], []
@@ -746,23 +741,3 @@ def eta_with_prefactor(q_order, p_window=None):
     Fraction and never enters the series itself.
     """
     return Fraction(1, 24), euler_product(q_order, p_window)
-
-
-def standard_series(kind, params, q_order, p_window):
-    """Dispatching constructor for the named series used across the formulas.
-
-    kind is one of macmahon, macmahon_p, euler_product, theta, linear_factor;
-    params is a dict (macmahon: {"shift": d}; linear_factor: {"a","b","sign"}).
-    """
-    params = dict(params or {})
-    if kind == "macmahon":
-        return macmahon(q_order, p_window, shift=params.get("shift", 1))
-    if kind == "macmahon_p":
-        return macmahon_p(q_order, p_window)
-    if kind == "euler_product":
-        return euler_product(q_order, p_window)
-    if kind == "theta":
-        return theta(q_order, p_window)
-    if kind == "linear_factor":
-        return linear_factor(params["a"], params["b"], params.get("sign", 1), q_order, p_window)
-    raise ValueError("unknown standard series kind %r" % (kind,))

@@ -136,6 +136,16 @@ def test_check_all(capsys):
         assert any(name in ln for ln in lines)
 
 
+def test_check_all_json_is_one_object(capsys):
+    code, out, _ = run(
+        capsys, "check", "all", "--q-order", "3", "--p-order", "7", "--format", "json"
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert len(results) == 21
+    assert all(r["equal"] for r in results)
+
+
 def test_p_window_override(capsys):
     code, out, _ = run(
         capsys, "dt", "--eB", "2", "--eS", "12", "--p-window=-5:5",

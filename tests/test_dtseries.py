@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -307,3 +309,88 @@ def test_identity_c_small():
     assert compare(lhs, rhs).equal
     # q^1 row is the two-box-leg ratio: 1 + p + 2p^2 + 3p^3 + ...
     assert [lhs.coeffs[1][2 * k] for k in range(4)] == [1, 1, 2, 3]
+
+
+# sha256 of json.dumps(series.to_json_dict(), sort_keys=True) at q^4 / p^8,
+# windows included.  Recorded before the vertex-sum rows and the product
+# factors in dtseries were shared; compare(...).equal alone would not notice a
+# changed window.
+FROZEN_DIGESTS = {
+    "dt_hat/sum/+2/24": "bba06512bbba478e3cb1c7b8aefc535de94c644ce1631fde691bc69e5152d43b",
+    "dt_fib/sum/+2/24": "8a803d40236686f1daad8689327e98e2e51f11223eabc251d14bfd826d4c749b",
+    "dt_hat/product/+2/24": "2798d520cc018222bae1bc5f557069b23eb752ddb618902ddf2d100617d03deb",
+    "dt_fib/product/+2/24": "673f5965a21dd3f4ac6d9f9700c6e01357813c220b3452626bcbe3f20dd7bfa7",
+    "connected/ratio/+2/24": "b236f0b8a99fdb8fcd038e7c9bd0f669d105e65644ad462b0334c3f435ea68bd",
+    "connected/jacobi/+2/24": "827a7f74fdfde656073bc7a40fa260a1039d1e0564cd5f6e597737e42189f28a",
+    "dt_hat/sum/+0/12": "7c24fb3d5113fb0c932aa597a4df7d421b75f23636fe94ef03a52881a3ebfbd6",
+    "dt_fib/sum/+0/12": "342bfb0909b2efc3c772130c070c1a7648105948bc75a22ac15c5c855bf2ee9e",
+    "dt_hat/product/+0/12": "f9b98ace1054566b58a3e446be139a2bba58a5d49fb324691820677dcf048b73",
+    "dt_fib/product/+0/12": "73dd206e55ceac593e0bbbc3dfa388a55cf93ce04eedc6ca27018480a0ef8494",
+    "connected/ratio/+0/12": "c2e560ca18f04db0efd406d487ac891d8a2c1e6af25d7e6ecb52830cce4b1ee6",
+    "connected/jacobi/+0/12": "0ee747bf2ab0842aedc5e9a5db2ee00f79b8471deb674d5bcdc16b915da2c615",
+    "dt_hat/sum/-2/12": "1f26275263d9da67a58e6ec4ed985948e5c822f3bbdabc6a0e0b5d4f377d1e7f",
+    "dt_fib/sum/-2/12": "d3ae4f08a904dd2f5007839f0ee62a2ab320025f8f899a1d6205013ed93beb40",
+    "dt_hat/product/-2/12": "13a666e885e171d9d6586dcf4f83b08b2ab52cc1a77593a2919521527d3361f8",
+    "dt_fib/product/-2/12": "dfaaacc67c42657583125e4c71251f59d123a61e1ed3ba0cd8666d95beb393a9",
+    "connected/ratio/-2/12": "c5cefe881ed65e4eac807cf50973e0d941031512b659afc198d2d2d72a502267",
+    "connected/jacobi/-2/12": "122de3f90a07f64bab5b4a941e74e934f223e214e33e00beedccac4865e7e25e",
+    "dt_hat/sum/+2/12": "cf8d16a3b87b7e90269f404070644eb061992299183fb0ce1968233867f405a7",
+    "dt_fib/sum/+2/12": "dff5cfb0d2d47f0b09d153790aa18ebcfac191cefe1ec1d158eabaa798d37619",
+    "dt_hat/product/+2/12": "0ed981934a8b1f88bcc6d160314814257f599a40e68950ebd12c41e92c63728b",
+    "dt_fib/product/+2/12": "77f3af11d5536eb6d678c4ebb4a2b22a64638bab2b43382ef9648b1835ed79de",
+    "connected/ratio/+2/12": "f7735a1c084e10a5dbdd78dc5312c3f566d2a7e5a3a9002e34e0ce7f52be9567",
+    "connected/jacobi/+2/12": "cebef743af24557a08ab2074d14d23272a023f74909ec894f89ecb3683336b4f",
+    "identity_a/lhs": "7b07264bc2c09967afea7df417b62308e64f15f95834476abf8ab36df3e18845",
+    "identity_a/rhs": "e6c1a50ceaab75bd9cb99417135ad7638433ad34d659ca88678fc12a1351adcd",
+    "identity_b/lhs": "8f6afd5857bb9cc2aafd342ba977e24fb6ae4827b97e2ecd441cc754ac344d61",
+    "identity_b/rhs": "8cb0dc54c16ea94a3706d3f8ea274a4de65376807a111492b7ede102236638c0",
+    "identity_c/lhs": "62779e0b4efd0b4c79f6d5eec0ae4a0d74b4c415ad017e96f68222549bb045c2",
+    "identity_c/rhs": "7ae0f93999e7b37d94a51d29a5a1b96d48b1b53f6ef428760b0762c5d34fece3",
+    "f_d/factored/+2/12/a=(1,)/b=()": "3ccf3a98ecb0c06694c00d58157b952050988c2a7e473da1af8fa72519c11748",
+    "f_d/strata/+2/12/a=(1,)/b=()": "3ccf3a98ecb0c06694c00d58157b952050988c2a7e473da1af8fa72519c11748",
+    "f_d/factored/+2/12/a=(2, 1)/b=(1,)": "d76e8f42403e25b8b88e9882f9198759bbece56b3bc7c5b9f0aafed4a8a57439",
+    "f_d/strata/+2/12/a=(2, 1)/b=(1,)": "d76e8f42403e25b8b88e9882f9198759bbece56b3bc7c5b9f0aafed4a8a57439",
+    "f_d/factored/+2/12/a=()/b=(3,)": "fa0626c881fd0d608f4bbc12d634517953424a0cad08b6e30b02325fef5ed78f",
+    "f_d/strata/+2/12/a=()/b=(3,)": "fa0626c881fd0d608f4bbc12d634517953424a0cad08b6e30b02325fef5ed78f",
+    "f_d/factored/+2/12/a=(3, 1)/b=(2,)": "0e337d21f4578f03dacc0219f37fd39960b8bf9d199e68bc3ed995da51e26798",
+    "f_d/strata/+2/12/a=(3, 1)/b=(2,)": "0e337d21f4578f03dacc0219f37fd39960b8bf9d199e68bc3ed995da51e26798",
+    "f_d/factored/-2/12/a=(1,)/b=()": "025ba94ec51c2e6189d6e55c4a12d542918f73f8a4441aed2f78edb41da98878",
+    "f_d/strata/-2/12/a=(1,)/b=()": "025ba94ec51c2e6189d6e55c4a12d542918f73f8a4441aed2f78edb41da98878",
+    "f_d/factored/-2/12/a=(2, 1)/b=(1,)": "89d019ec339c8284d2b751f6d20869e75fce7cde088db04723a0e75bfdd58b93",
+    "f_d/strata/-2/12/a=(2, 1)/b=(1,)": "89d019ec339c8284d2b751f6d20869e75fce7cde088db04723a0e75bfdd58b93",
+    "f_d/factored/-2/12/a=()/b=(3,)": "59f8185c601fdef62ed161b47cd3198ed1387435fa1cfe38018dcc7080bd76e8",
+    "f_d/strata/-2/12/a=()/b=(3,)": "59f8185c601fdef62ed161b47cd3198ed1387435fa1cfe38018dcc7080bd76e8",
+    "f_d/factored/-2/12/a=(3, 1)/b=(2,)": "a6eb75adfb0c7ef9fc84d4977055c4ba6e81c1471cad25359538c244096901a4",
+    "f_d/strata/-2/12/a=(3, 1)/b=(2,)": "a6eb75adfb0c7ef9fc84d4977055c4ba6e81c1471cad25359538c244096901a4",
+}
+
+
+def _frozen_outputs():
+    q_order, order = 4, 8
+    for eb, es in ((2, 24), (0, 12), (-2, 12), (2, 12)):
+        surf = SurfaceData(eb, es)
+        tag = "%+d/%d" % (eb, es)
+        for side in ("sum", "product"):
+            yield "dt_hat/%s/%s" % (side, tag), dt_hat(surf, q_order, order, side)
+            yield "dt_fib/%s/%s" % (side, tag), dt_fib(surf, q_order, order, side)
+        for side in ("ratio", "jacobi"):
+            yield "connected/%s/%s" % (side, tag), connected(surf, q_order, order, side)
+    for name, fn in (("a", identity_a), ("b", identity_b), ("c", identity_c)):
+        lhs, rhs = fn(q_order, order)
+        yield "identity_%s/lhs" % name, lhs
+        yield "identity_%s/rhs" % name, rhs
+    for eb, es in ((2, 12), (-2, 12)):
+        surf = SurfaceData(eb, es)
+        for a, b in (((1,), ()), ((2, 1), (1,)), ((), (3,)), ((3, 1), (2,))):
+            for mode in ("factored", "strata"):
+                name = "f_d/%s/%+d/%d/a=%s/b=%s" % (mode, eb, es, a, b)
+                yield name, f_d_series(PointConfig(a, b), surf, order, mode)
+
+
+def _digest(series):
+    blob = json.dumps(series.to_json_dict(), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_output_digests_frozen():
+    assert {name: _digest(s) for name, s in _frozen_outputs()} == FROZEN_DIGESTS
