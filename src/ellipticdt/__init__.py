@@ -33,7 +33,6 @@ from .series import (
     macmahon,
     macmahon_p,
     power,
-    ring_op,
     substitute_neg_p,
     theta,
 )

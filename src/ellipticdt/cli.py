@@ -10,12 +10,12 @@ whole p-units.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from . import deform, dtseries
 from .partitions import Partition, enumerate_partitions
@@ -27,36 +27,14 @@ CACHE_ENV = "ELLIPTICDT_CACHE"
 SURFACE_PAIRS = ((2, 24), (0, 12), (-2, 12), (2, 12))
 FD_PAIRS = ((2, 12), (2, 24))
 
-
-@dataclass
-class RunConfig:
-    command: str
-    q_order: int = 4
-    p_order: int = 8
-    p_window: tuple | None = None
-    eB: int = 2
-    eS: int = 12
-    legs: tuple | None = None
-    smooth: tuple = ()
-    nodal: tuple = ()
-    smooth_fibers: tuple = ()
-    nodal_fibers: tuple = ()
-    side: str = "both"
-    exponent: int | None = None
-    random_tables: int = 20
-    seed: int = 0
-    fmt: str = "pretty"
-    cache_dir: str | None = None
-    show_arrows: bool = False
-
-    def cache(self):
-        path = self.cache_dir or os.environ.get(CACHE_ENV)
-        return VertexCache(path) if path else None
-
-    def window_halves(self):
-        if self.p_window is not None:
-            return (2 * self.p_window[0], 2 * self.p_window[1])
-        return (-(2 * self.p_order + 2), 2 * self.p_order + 2)
+# command -> (name of its dtseries function, the function's two sides).  The
+# function is looked up on dtseries at each call, never stored, so a wrapper
+# set on the module attribute after import sees every call.
+COMPARISONS = {
+    "dt": ("dt_hat", ("sum", "product")),
+    "dtfib": ("dt_fib", ("sum", "product")),
+    "connected": ("connected", ("ratio", "jacobi")),
+}
 
 
 def _parse_partition(text):
@@ -94,15 +72,23 @@ def _parse_int_list(text):
 
 
 def _parse_window(text):
+    """Whole p-units "lo:hi" as a half-unit window; empty text is the default window."""
+    if not text:
+        return None
     try:
         lo, hi = text.split(":")
-        return (int(lo), int(hi))
+        return (2 * int(lo), 2 * int(hi))
     except ValueError:
         raise UsageError("--p-window expects lo:hi in whole p-units")
 
 
 class UsageError(Exception):
     pass
+
+
+def _cache(ns):
+    path = ns.cache_dir or os.environ.get(CACHE_ENV)
+    return VertexCache(path) if path else None
 
 
 def _emit_json(payload, out):
@@ -125,151 +111,139 @@ def _emit_comparison_csv(report, out):
             out.write("%d,%d,%s,%s\n" % (d, e, ca[e], cb[e]))
 
 
-def _verdict_lines(report, out, table=True):
-    if table:
-        out.write("%6s %10s %16s %16s\n" % ("q", "p(half)", "side_a", "side_b"))
-        for d in range(report.q_order + 1):
-            lo, hi = report.regions[d]
-            ca, cb = report.side_a.coeffs[d], report.side_b.coeffs[d]
-            for e in sorted(set(ca.c) | set(cb.c)):
-                if lo is not None and e < lo:
-                    continue
-                if hi is not None and e > hi:
-                    continue
-                out.write("%6d %10d %16s %16s\n" % (d, e, ca[e], cb[e]))
+def _verdict_lines(report, out):
+    out.write("%6s %10s %16s %16s\n" % ("q", "p(half)", "side_a", "side_b"))
+    for d in range(report.q_order + 1):
+        lo, hi = report.regions[d]
+        ca, cb = report.side_a.coeffs[d], report.side_b.coeffs[d]
+        for e in sorted(set(ca.c) | set(cb.c)):
+            if lo is not None and e < lo:
+                continue
+            if hi is not None and e > hi:
+                continue
+            out.write("%6d %10d %16s %16s\n" % (d, e, ca[e], cb[e]))
     lo, hi = report.window()
     if report.equal:
         out.write("EQUAL on window [%d, %d] (half-units) to q^%d\n" % (lo, hi, report.q_order))
-        return 0
+        return
     d, e, lhs, rhs = report.first_discrepancy
     out.write(
         "DISCREPANCY at q^%d p-exponent %d/2: lhs=%s rhs=%s\n" % (d, e, lhs, rhs)
     )
-    return 2
 
 
-def _report_payload(report):
-    return report.to_json_dict()
+def _emit_report(report, fmt, out, **extra):
+    """Write one comparison in fmt, JSON with the extra keys; return the exit code."""
+    if fmt == "json":
+        _emit_json(dict(report.to_json_dict(), **extra), out)
+    elif fmt == "csv":
+        _emit_comparison_csv(report, out)
+    else:
+        _verdict_lines(report, out)
+    return 0 if report.equal else 2
+
+
+def _emit_results(results, fmt, payload, out):
+    """Write (name, equal, detail) results; return the exit code.
+
+    pretty prints one PASS/FAIL line per check, csv one check,equal,detail
+    row, json the payload the calling command built from the same results.
+    """
+    if fmt == "json":
+        _emit_json(payload, out)
+    elif fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("check", "equal", "detail"))
+        writer.writerows(results)
+    else:
+        for name, ok, detail in results:
+            line = "%s %s" % ("PASS" if ok else "FAIL", name)
+            if detail:
+                line += "  [%s]" % detail
+            out.write(line + "\n")
+    return 0 if all(ok for _, ok, _ in results) else 2
 
 
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 
 
-def _cmd_vertex(cfg, out):
-    lam, mu, nu = cfg.legs
+def _cmd_vertex(ns, out):
+    lam, mu, nu = ns.legs
     leg = LegConfig(lam, mu, nu)
-    if cfg.p_order > 12 or leg.total_size() > 6:
-        (boxes,) = estimate_nodes(leg, cfg.p_order)
+    if ns.p_order > 12 or leg.total_size() > 6:
+        (boxes,) = estimate_nodes(leg, ns.p_order)
         sys.stderr.write(
             "warning: large enumeration (order %d, total leg size %d): "
-            "candidate poset has %d boxes\n" % (cfg.p_order, leg.total_size(), boxes)
+            "candidate poset has %d boxes\n" % (ns.p_order, leg.total_size(), boxes)
         )
-    rec = tilde_vertex(leg, cfg.p_order, cfg.cache())
-    if cfg.fmt == "json":
+    rec = tilde_vertex(leg, ns.p_order, _cache(ns))
+    if ns.format == "json":
         payload = rec.to_json_dict()
-        payload["key"] = leg.canonical_key(cfg.p_order)
+        payload["key"] = leg.canonical_key(ns.p_order)
         _emit_json(payload, out)
-    elif cfg.fmt == "csv":
+    elif ns.format == "csv":
         out.write("n,count\n")
         for n, c in enumerate(rec.counts):
             out.write("%d,%s\n" % (n, c))
     else:
         out.write("legs: %s | %s | %s\n" % (lam.to_string() or "-", mu.to_string() or "-", nu.to_string() or "-"))
-        out.write("normalized counts to p^%d: %s\n" % (cfg.p_order, ", ".join(str(c) for c in rec.counts)))
+        out.write("normalized counts to p^%d: %s\n" % (ns.p_order, ", ".join(str(c) for c in rec.counts)))
         out.write("minimal volume: %d (usual vertex = p^%d * normalized)\n" % (rec.min_volume, rec.min_volume))
     return 0
 
 
-def _both_sides(cfg, maker, sides, out):
-    cache = cfg.cache()
-    pw = cfg.window_halves()
-    if cfg.side == "both":
-        a = maker(sides[0], pw, cache)
-        b = maker(sides[1], pw, cache)
-        report = compare(a, b)
-        if cfg.fmt == "json":
-            _emit_json(_report_payload(report), out)
-            return 0 if report.equal else 2
-        if cfg.fmt == "csv":
-            _emit_comparison_csv(report, out)
-            return 0 if report.equal else 2
-        return _verdict_lines(report, out)
-    series = maker(cfg.side, pw, cache)
-    if cfg.fmt == "json":
+def _cmd_compare(ns, out, command=None, **extra):
+    """One side of a COMPARISONS command, or both sides compared.
+
+    command defaults to ns.command; extra keys go into the JSON report.
+    """
+    fn_name, sides = COMPARISONS[command or ns.command]
+    surf = dtseries.SurfaceData(ns.eB, ns.eS)
+    cache = _cache(ns)
+
+    def build(side):
+        return getattr(dtseries, fn_name)(surf, ns.q_order, ns.p_order, side, ns.p_window, cache)
+
+    if ns.side == "both":
+        a, b = map(build, sides)
+        return _emit_report(compare(a, b), ns.format, out, **extra)
+    series = build(ns.side)
+    if ns.format == "json":
         _emit_json(series.to_json_dict(), out)
-    elif cfg.fmt == "csv":
+    elif ns.format == "csv":
         _emit_series_csv(series, out)
     else:
         out.write(series.pretty() + "\n")
     return 0
 
 
-def _cmd_dt(cfg, out):
-    surf = dtseries.SurfaceData(cfg.eB, cfg.eS)
-
-    def maker(side, pw, cache):
-        return dtseries.dt_hat(surf, cfg.q_order, cfg.p_order, side, pw, cache)
-
-    return _both_sides(cfg, maker, ("sum", "product"), out)
-
-
-def _cmd_dtfib(cfg, out):
-    surf = dtseries.SurfaceData(cfg.eB, cfg.eS)
-
-    def maker(side, pw, cache):
-        return dtseries.dt_fib(surf, cfg.q_order, cfg.p_order, side, pw, cache)
-
-    return _both_sides(cfg, maker, ("sum", "product"), out)
-
-
-def _cmd_connected(cfg, out):
-    surf = dtseries.SurfaceData(cfg.eB, cfg.eS)
-
-    def maker(side, pw, cache):
-        return dtseries.connected(surf, cfg.q_order, cfg.p_order, side, pw, cache)
-
-    return _both_sides(cfg, maker, ("ratio", "jacobi"), out)
-
-
-def _cmd_kkv(cfg, out):
-    cfg.eB, cfg.eS = 2, 24
-    surf = dtseries.SurfaceData(2, 24)
-    ser = dtseries.connected(surf, cfg.q_order, cfg.p_order, "jacobi", cfg.window_halves(), cfg.cache())
+def _cmd_kkv(ns, out):
+    """The connected comparison of the K3 case plus its q^0 term p/(1-p)^2."""
+    surf = dtseries.SurfaceData(ns.eB, ns.eS)
+    ser = dtseries.connected(surf, ns.q_order, ns.p_order, "jacobi", ns.p_window, _cache(ns))
     q0 = ser.coefficient(0)
-    hi = min(ser.windows[0][1], 2 * cfg.p_order)
+    hi = min(ser.windows[0][1], 2 * ns.p_order)
     ok = all(q0[e] == (e // 2 if e % 2 == 0 and e >= 2 else 0) for e in range(ser.windows[0][0], hi + 1))
-    if cfg.fmt == "json" and cfg.side == "both":
-        a = dtseries.connected(surf, cfg.q_order, cfg.p_order, "ratio", cfg.window_halves(), cfg.cache())
-        report = compare(a, ser)
-        payload = _report_payload(report)
-        payload["kkv_q0_specialization"] = ok
-        _emit_json(payload, out)
-        return 0 if (report.equal and ok) else 2
-    status = _cmd_connected(cfg, out)
-    if cfg.fmt == "pretty":
+    status = _cmd_compare(ns, out, "connected", kkv_q0_specialization=ok)
+    if ns.format == "pretty":
         out.write("KKV q^0 specialization p/(1-p)^2: %s\n" % ("PASS" if ok else "FAIL"))
     return status if ok else 2
 
 
-def _cmd_fd(cfg, out):
-    surf = dtseries.SurfaceData(cfg.eB, cfg.eS)
-    pc = dtseries.PointConfig(cfg.smooth, cfg.nodal)
-    report = dtseries.f_d_compare(pc, surf, cfg.p_order, cfg.cache())
-    if cfg.fmt == "json":
-        _emit_json(_report_payload(report), out)
-        return 0 if report.equal else 2
-    if cfg.fmt == "csv":
-        _emit_comparison_csv(report, out)
-        return 0 if report.equal else 2
-    out.write("factored: %s\n" % report.side_a.pretty())
-    out.write("strata:   %s\n" % report.side_b.pretty())
-    return _verdict_lines(report, out)
+def _cmd_fd(ns, out):
+    surf = dtseries.SurfaceData(ns.eB, ns.eS)
+    pc = dtseries.PointConfig(ns.smooth, ns.nodal)
+    report = dtseries.f_d_compare(pc, surf, ns.p_order, _cache(ns))
+    if ns.format == "pretty":
+        out.write("factored: %s\n" % report.side_a.pretty())
+        out.write("strata:   %s\n" % report.side_b.pretty())
+    return _emit_report(report, ns.format, out)
 
 
-def _cmd_tangent(cfg, out):
-    surf = dtseries.SurfaceData(cfg.eB, cfg.eS)
-    desc = deform.CombCurveDescriptor(surf, cfg.smooth_fibers, cfg.nodal_fibers)
+def _cmd_tangent(ns, out):
+    surf = dtseries.SurfaceData(ns.eB, ns.eS)
+    desc = deform.CombCurveDescriptor(surf, ns.smooth_fibers, ns.nodal_fibers)
     ed = deform.euler_data(surf)
     payload = {
         "euler_data": {
@@ -290,13 +264,13 @@ def _cmd_tangent(cfg, out):
             "haiman_basis_size": len(deform.haiman_basis_2d(lam)),
             "vl_basis_size": len(deform.vl_tangent_basis(lam)),
         }
-        if cfg.show_arrows:
+        if ns.arrows:
             entry["arrows"] = [
                 {"tail": list(ar.tail), "head": list(ar.head), "kind": ar.kind}
                 for ar in deform.haiman_basis_2d(lam)
             ]
         payload["fibers"].append(entry)
-    if cfg.fmt == "json":
+    if ns.format == "json":
         _emit_json(payload, out)
     else:
         out.write("chi(O_S)=%d chi(O_B)=%d h0(N_B/T)=%d h0(N_B/S)=%d\n" % (ed.chiOS, ed.chiOB, ed.h0_NBT, ed.h0_NBS))
@@ -311,7 +285,7 @@ def _cmd_tangent(cfg, out):
                     entry["arrow_classes"],
                 )
             )
-            if cfg.show_arrows:
+            if ns.arrows:
                 for ar in entry["arrows"]:
                     out.write("  %s -> %s (%s)\n" % (tuple(ar["tail"]), tuple(ar["head"]), ar["kind"]))
     return 0
@@ -327,33 +301,39 @@ def _random_g_table(rng, q_order):
     return table
 
 
-def _cmd_symprod(cfg, out):
-    exponents = [cfg.exponent] if cfg.exponent is not None else list(range(-3, 4))
-    failures = 0
-    lines = []
-    ones = {a: HalfLaurent({0: 1}) for a in range(1, cfg.q_order + 1)}
+def _symprod_results(q_order, exponents, seed, random_tables):
+    """Yield (group, name, equal) for each symmetric-product check.
+
+    The constant table g = 1 comes first (group "symprod-constant"), then
+    random_tables tables drawn from random.Random(seed) (group
+    "symprod-random"), each checked at every exponent.
+    """
+    ones = {a: HalfLaurent({0: 1}) for a in range(1, q_order + 1)}
     for e in exponents:
-        rep = dtseries.symprod_check(ones, e, cfg.q_order)
-        lines.append(("symprod-constant-e%+d" % e, rep))
-    rng = random.Random(cfg.seed)
-    for i in range(cfg.random_tables):
-        table = _random_g_table(rng, cfg.q_order)
+        rep = dtseries.symprod_check(ones, e, q_order)
+        yield "symprod-constant", "symprod-constant-e%+d" % e, rep.equal
+    rng = random.Random(seed)
+    for i in range(random_tables):
+        table = _random_g_table(rng, q_order)
         for e in exponents:
-            rep = dtseries.symprod_check(table, e, cfg.q_order)
-            lines.append(("symprod-random%02d-e%+d" % (i, e), rep))
-    results = []
-    for name, rep in lines:
-        ok = rep.equal
-        failures += 0 if ok else 1
-        results.append({"check": name, "equal": ok})
-        if cfg.fmt == "pretty":
-            out.write("%s %s\n" % ("PASS" if ok else "FAIL", name))
-    if cfg.fmt == "json":
-        _emit_json({"results": results, "failures": failures}, out)
-    return 0 if failures == 0 else 2
+            rep = dtseries.symprod_check(table, e, q_order)
+            yield "symprod-random", "symprod-random%02d-e%+d" % (i, e), rep.equal
 
 
-def _fd_configs(max_degree):
+def _cmd_symprod(ns, out):
+    exponents = [ns.exponent] if ns.exponent is not None else range(-3, 4)
+    results = [
+        (name, ok, "")
+        for _, name, ok in _symprod_results(ns.q_order, exponents, ns.seed, ns.random_tables)
+    ]
+    payload = {
+        "results": [{"check": name, "equal": ok} for name, ok, _ in results],
+        "failures": sum(not ok for _, ok, _ in results),
+    }
+    return _emit_results(results, ns.format, payload, out)
+
+
+def point_configs(max_degree):
     """Every composition of d <= max_degree with every smooth/nodal assignment."""
     out = [dtseries.PointConfig((), ())]
     for d in range(1, max_degree + 1):
@@ -368,70 +348,52 @@ def _fd_configs(max_degree):
     return out
 
 
-def _check_all(cfg, out):
-    cache = cfg.cache()
-    pw = cfg.window_halves()
-    results = []
+def _compared(name, a, b):
+    try:
+        rep = compare(a, b)
+    except SeriesError as exc:
+        return name, False, str(exc)
+    return name, rep.equal, "" if rep.equal else repr(rep.first_discrepancy)
 
-    def record(name, ok, detail=""):
-        results.append((name, ok, detail))
 
-    def run_compare(name, a, b, **kw):
-        try:
-            rep = compare(a, b, **kw)
-            record(name, rep.equal, "" if rep.equal else repr(rep.first_discrepancy))
-        except SeriesError as exc:
-            record(name, False, str(exc))
+def suite(q_order, p_order, p_window, cache, seed, random_tables):
+    """Yield (name, equal, detail) for each of the 21 checks of `check all`.
 
+    p_window is in half-units, or None for the default window of p_order.
+    detail is empty for a passing check; for a failing one it names the
+    first discrepancy or the error that stopped the comparison.
+    """
     for name, fn in (
         ("identity-a", dtseries.identity_a),
         ("identity-b", dtseries.identity_b),
         ("identity-c", dtseries.identity_c),
     ):
-        lhs, rhs = fn(cfg.q_order, cfg.p_order, cache, pw)
-        run_compare(name, lhs, rhs)
+        lhs, rhs = fn(q_order, p_order, cache, p_window)
+        yield _compared(name, lhs, rhs)
 
     for eB, eS in SURFACE_PAIRS:
         surf = dtseries.SurfaceData(eB, eS)
-        run_compare(
-            "dt-cross-eB%+d-eS%d" % (eB, eS),
-            dtseries.dt_hat(surf, cfg.q_order, cfg.p_order, "sum", pw, cache),
-            dtseries.dt_hat(surf, cfg.q_order, cfg.p_order, "product", pw, cache),
-        )
-        run_compare(
-            "dtfib-cross-eB%+d-eS%d" % (eB, eS),
-            dtseries.dt_fib(surf, cfg.q_order, cfg.p_order, "sum", pw, cache),
-            dtseries.dt_fib(surf, cfg.q_order, cfg.p_order, "product", pw, cache),
-        )
-        run_compare(
-            "connected-cross-eB%+d-eS%d" % (eB, eS),
-            dtseries.connected(surf, cfg.q_order, cfg.p_order, "ratio", pw, cache),
-            dtseries.connected(surf, cfg.q_order, cfg.p_order, "jacobi", pw, cache),
-        )
+        for command, (fn_name, sides) in COMPARISONS.items():
+            fn = getattr(dtseries, fn_name)
+            a, b = (fn(surf, q_order, p_order, side, p_window, cache) for side in sides)
+            yield _compared("%s-cross-eB%+d-eS%d" % (command, eB, eS), a, b)
 
     for eB, eS in FD_PAIRS:
         surf = dtseries.SurfaceData(eB, eS)
-        ok = True
-        detail = ""
-        for pc in _fd_configs(4):
-            rep = dtseries.f_d_compare(pc, surf, cfg.p_order, cache)
+        name = "fd-cross-eB%+d-eS%d" % (eB, eS)
+        for pc in point_configs(4):
+            rep = dtseries.f_d_compare(pc, surf, p_order, cache)
             if not rep.equal:
-                ok = False
-                detail = "config a=%s b=%s: %r" % (pc.a, pc.b, rep.first_discrepancy)
+                yield name, False, "config a=%s b=%s: %r" % (pc.a, pc.b, rep.first_discrepancy)
                 break
-        record("fd-cross-eB%+d-eS%d" % (eB, eS), ok, detail)
+        else:
+            yield name, True, ""
 
-    ones = {a: HalfLaurent({0: 1}) for a in range(1, cfg.q_order + 1)}
-    ok = all(dtseries.symprod_check(ones, e, cfg.q_order).equal for e in range(-3, 4))
-    record("symprod-constant", ok)
-    rng = random.Random(cfg.seed)
-    ok = True
-    for _ in range(cfg.random_tables):
-        table = _random_g_table(rng, cfg.q_order)
-        for e in range(-3, 4):
-            if not dtseries.symprod_check(table, e, cfg.q_order).equal:
-                ok = False
-    record("symprod-random", ok)
+    verdicts = {"symprod-constant": True, "symprod-random": True}
+    for group, _, ok in _symprod_results(q_order, range(-3, 4), seed, random_tables):
+        verdicts[group] = verdicts[group] and ok
+    for name, ok in verdicts.items():
+        yield name, ok, ""
 
     ok = True
     for n in range(1, 9):
@@ -442,7 +404,7 @@ def _check_all(cfg, out):
                 ok = False
             if deform.comb_fiber_arrow_classes(lam) != 2 * n - lam.first_part():
                 ok = False
-    record("arrow-counts", ok)
+    yield "arrow-counts", ok, ""
 
     ok = True
     for eB, eS in ((2, 12), (2, 24), (0, 12)):
@@ -456,21 +418,15 @@ def _check_all(cfg, out):
                     want = -1 if deform.tangent_dim(desc) % 2 else 1
                     if deform.behrend_sign(desc) != want:
                         ok = False
-    record("tangent-parity", ok)
+    yield "tangent-parity", ok, ""
 
-    failures = [r for r in results if not r[1]]
-    if cfg.fmt == "json":
-        _emit_json(
-            {"results": [{"check": n, "equal": okf, "detail": det} for n, okf, det in results]},
-            out,
-        )
-    else:
-        for name, okflag, detail in results:
-            line = "%s %s" % ("PASS" if okflag else "FAIL", name)
-            if detail:
-                line += "  [%s]" % detail
-            out.write(line + "\n")
-    return 0 if not failures else 2
+
+def _cmd_check(ns, out):
+    results = list(
+        suite(ns.q_order, ns.p_order, ns.p_window, _cache(ns), ns.seed, ns.random_tables)
+    )
+    payload = {"results": [{"check": n, "equal": ok, "detail": d} for n, ok, d in results]}
+    return _emit_results(results, ns.format, payload, out)
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +449,10 @@ def build_parser():
             p.add_argument("--eB", type=int, default=2)
             p.add_argument("--eS", type=int, default=12)
         if window:
-            p.add_argument("--p-window", default=None, help="lo:hi in whole p-units")
+            p.add_argument("--p-window", type=_parse_window, default=None, help="lo:hi in whole p-units")
 
     p = sub.add_parser("vertex", help="normalized vertex for a leg triple")
-    p.add_argument("--legs", required=True, help='three ";"-separated partitions, e.g. "2,1;;"')
+    p.add_argument("--legs", type=_parse_legs, required=True, help='three ";"-separated partitions, e.g. "2,1;;"')
     common(p)
 
     for name, hlp in (
@@ -513,16 +469,17 @@ def build_parser():
 
     p = sub.add_parser("kkv", help="connected series of the K3 case (eB=2, eS=24)")
     p.add_argument("--side", choices=("ratio", "jacobi", "both"), default="both")
+    p.set_defaults(eB=2, eS=24)
     common(p, window=True)
 
     p = sub.add_parser("fd", help="pushforward weight at a point configuration, both modes")
-    p.add_argument("--smooth", default="", help="comma list of smooth-point multiplicities")
-    p.add_argument("--nodal", default="", help="comma list of nodal-point multiplicities")
+    p.add_argument("--smooth", type=_parse_int_list, default="", help="comma list of smooth-point multiplicities")
+    p.add_argument("--nodal", type=_parse_int_list, default="", help="comma list of nodal-point multiplicities")
     common(p, eb_es=True)
 
     p = sub.add_parser("tangent", help="deformation data for a thickened comb curve")
-    p.add_argument("--smooth-fibers", default="", help='";"-separated partitions')
-    p.add_argument("--nodal-fibers", default="", help='";"-separated partitions')
+    p.add_argument("--smooth-fibers", type=_parse_partition_list, default="", help='";"-separated partitions')
+    p.add_argument("--nodal-fibers", type=_parse_partition_list, default="", help='";"-separated partitions')
     p.add_argument("--arrows", action="store_true", help="list the arrow basis")
     common(p, eb_es=True)
 
@@ -541,58 +498,31 @@ def build_parser():
     return parser
 
 
-def _to_runconfig(ns):
-    cfg = RunConfig(command=ns.command)
-    cfg.q_order = getattr(ns, "q_order", 4)
-    cfg.p_order = getattr(ns, "p_order", 8)
-    if cfg.q_order < 0 or cfg.p_order < 0:
-        raise UsageError("--q-order and --p-order must be nonnegative")
-    cfg.fmt = getattr(ns, "format", "pretty")
-    cfg.cache_dir = getattr(ns, "cache_dir", None)
-    cfg.eB = getattr(ns, "eB", 2)
-    cfg.eS = getattr(ns, "eS", 12)
-    cfg.side = getattr(ns, "side", "both")
-    cfg.exponent = getattr(ns, "exponent", None)
-    cfg.random_tables = getattr(ns, "random_tables", 20)
-    cfg.seed = getattr(ns, "seed", 0)
-    cfg.show_arrows = getattr(ns, "arrows", False)
-    if getattr(ns, "p_window", None):
-        cfg.p_window = _parse_window(ns.p_window)
-    if getattr(ns, "legs", None):
-        cfg.legs = _parse_legs(ns.legs)
-    if hasattr(ns, "smooth"):
-        cfg.smooth = _parse_int_list(ns.smooth)
-        cfg.nodal = _parse_int_list(ns.nodal)
-    if hasattr(ns, "smooth_fibers"):
-        cfg.smooth_fibers = _parse_partition_list(ns.smooth_fibers)
-        cfg.nodal_fibers = _parse_partition_list(ns.nodal_fibers)
-    return cfg
-
-
 DISPATCH = {
     "vertex": _cmd_vertex,
-    "dt": _cmd_dt,
-    "dtfib": _cmd_dtfib,
-    "connected": _cmd_connected,
+    "dt": _cmd_compare,
+    "dtfib": _cmd_compare,
+    "connected": _cmd_compare,
     "kkv": _cmd_kkv,
     "fd": _cmd_fd,
     "tangent": _cmd_tangent,
     "symprod-check": _cmd_symprod,
-    "check": _check_all,
+    "check": _cmd_check,
 }
 
 
-def dispatch(cfg, out=None):
+def dispatch(ns, out=None):
     out = out or sys.stdout
-    return DISPATCH[cfg.command](cfg, out)
+    return DISPATCH[ns.command](ns, out)
 
 
 def main(argv=None):
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        cfg = _to_runconfig(ns)
-        return dispatch(cfg)
+        if ns.q_order < 0 or ns.p_order < 0:
+            raise UsageError("--q-order and --p-order must be nonnegative")
+        return dispatch(ns)
     except UsageError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

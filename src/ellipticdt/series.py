@@ -383,13 +383,9 @@ class PQSeries:
         coeffs = [HalfLaurent() for _ in range(q_order + 1)]
         for d, terms in data["coeffs"]:
             coeffs[d] = HalfLaurent((e, int(v)) for e, v in terms)
-        if "p_windows" in data:
-            windows = [(None, None)] * (q_order + 1)
-            for d, lo, hi in data["p_windows"]:
-                windows[d] = (lo, hi)
-        else:
-            lo, hi = data["p_window"]
-            windows = [(lo, hi)] * (q_order + 1)
+        windows = [(None, None)] * (q_order + 1)
+        for d, lo, hi in data["p_windows"]:
+            windows[d] = (lo, hi)
         return cls(q_order, coeffs, windows)
 
 
@@ -432,17 +428,6 @@ def _binary_mul(a, b):
             coeffs.append(acc.clip(hi))
             windows.append((lo, hi))
     return PQSeries(q_order, coeffs, windows)
-
-
-def ring_op(kind, a, b):
-    """Exact add/sub/mul with the window calculus from the module docstring."""
-    if kind == "add":
-        return _binary_add(a, b, +1)
-    if kind == "sub":
-        return _binary_add(a, b, -1)
-    if kind == "mul":
-        return _binary_mul(a, b)
-    raise ValueError("unknown ring_op kind %r" % (kind,))
 
 
 def _invert_laurent(a0, lo0, hi0):

@@ -9,6 +9,7 @@ import itertools
 import random
 import time
 
+from ellipticdt.cli import SURFACE_PAIRS, point_configs
 from ellipticdt.deform import (
     CombCurveDescriptor,
     behrend_sign,
@@ -18,7 +19,6 @@ from ellipticdt.deform import (
     vl_tangent_basis,
 )
 from ellipticdt.dtseries import (
-    PointConfig,
     SurfaceData,
     behrend_transform,
     connected,
@@ -38,11 +38,8 @@ from ellipticdt.series import (
     linear_factor,
     macmahon_p,
     power,
-    ring_op,
 )
 from ellipticdt.vertex import LegConfig, clear_memo, minimal_volume, tilde_vertex, vertex
-
-SURFACE_PAIRS = ((2, 24), (0, 12), (-2, 12), (2, 12))
 
 PLANE_TO_8 = (1, 1, 3, 6, 13, 24, 48, 86, 160)
 
@@ -66,9 +63,7 @@ def test_criterion_01_vertex_oracle():
 def test_criterion_02_one_box_specialization():
     t0 = time.perf_counter()
     v = vertex(LegConfig(BOX, EMPTY, EMPTY), 8)
-    closed = ring_op(
-        "mul", macmahon_p(0, (0, 16)), linear_factor(1, 0, -1, 0, (0, 16))
-    )
+    closed = macmahon_p(0, (0, 16)) * linear_factor(1, 0, -1, 0, (0, 16))
     rep = compare(v, closed, p_lo=0, p_hi=16)
     report("criterion-02 one-box-leg vertex equals M(p)/(1-p) to p^8", rep.equal, t0)
 
@@ -161,24 +156,10 @@ def test_criterion_07_connected_series():
     )
 
 
-def _point_configs(max_degree):
-    out = [PointConfig((), ())]
-    for d in range(1, max_degree + 1):
-        for k in range(1, d + 1):
-            for comp in itertools.product(range(1, d + 1), repeat=k):
-                if sum(comp) != d:
-                    continue
-                for mask in range(1 << k):
-                    smooth = tuple(comp[i] for i in range(k) if not (mask >> i) & 1)
-                    nodal = tuple(comp[i] for i in range(k) if (mask >> i) & 1)
-                    out.append(PointConfig(smooth, nodal))
-    return out
-
-
 def test_criterion_08_pushforward_cross_mode():
     t0 = time.perf_counter()
     ok = True
-    configs = _point_configs(4)
+    configs = point_configs(4)
     for eb, es in ((2, 12), (2, 24)):
         surf = SurfaceData(eb, es)
         for pc in configs:

@@ -1,7 +1,15 @@
+import csv
+import hashlib
+import importlib.util
+import io
 import json
 import os
+from pathlib import Path
 
+import ellipticdt
+from ellipticdt import dtseries
 from ellipticdt.cli import main
+from ellipticdt.series import PQSeries
 
 
 def run(capsys, *argv):
@@ -146,6 +154,82 @@ def test_check_all_json_is_one_object(capsys):
     assert all(r["equal"] for r in results)
 
 
+def _csv_rows(out):
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["check", "equal", "detail"]
+    return rows[1:]
+
+
+def test_check_all_csv_rows(capsys):
+    code, out, _ = run(
+        capsys, "check", "all", "--q-order", "2", "--p-order", "5", "--format", "csv"
+    )
+    assert code == 0
+    rows = _csv_rows(out)
+    assert len(rows) == 21
+    assert rows[0][0] == "identity-a" and rows[-1][0] == "tangent-parity"
+    assert all(row[1:] == ["True", ""] for row in rows)
+
+
+def test_symprod_check_csv_rows(capsys):
+    code, out, _ = run(
+        capsys, "symprod-check", "--q-order", "3", "--random", "2", "--format", "csv"
+    )
+    assert code == 0
+    rows = _csv_rows(out)
+    assert [row[0] for row in rows[:2]] == ["symprod-constant-e-3", "symprod-constant-e-2"]
+    assert len(rows) == 7 * 3
+    assert all(row[1:] == ["True", ""] for row in rows)
+
+
+def test_check_all_reports_a_failing_check(capsys, monkeypatch):
+    real = dtseries.identity_b
+
+    def skewed(q_order, order, cache=None, p_window=None):
+        lhs, rhs = real(q_order, order, cache, p_window)
+        return lhs, rhs + PQSeries.one(q_order)
+
+    monkeypatch.setattr(dtseries, "identity_b", skewed)
+    argv = ("check", "all", "--q-order", "2", "--p-order", "5")
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[1].startswith("FAIL identity-b  [") and lines[1].endswith("]")
+    assert sum(line.startswith("PASS ") for line in lines) == 20
+
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    results = json.loads(out)["results"]
+    failed = [r for r in results if not r["equal"]]
+    assert [r["check"] for r in failed] == ["identity-b"]
+    detail = failed[0]["detail"]
+    assert detail and "," in detail
+
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 2
+    assert out.splitlines()[2] == 'identity-b,False,"%s"' % detail
+    assert _csv_rows(out)[1] == ["identity-b", "False", detail]
+
+
+def test_benchmark_tracer_sees_every_layer(capsys):
+    """The benchmark's tracer wraps module attributes; each must be called through them."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracing.install(tracer, ellipticdt)
+    try:
+        code, _, _ = run(capsys, "check", "all", "--q-order", "2", "--p-order", "5")
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    seen = {span[0] for span in tracer.spans}
+    want = {"cli.dispatch", "series.compare"} | set(tracing.DTSERIES_ENTRIES.values())
+    assert want <= seen, sorted(want - seen)
+
+
 def test_p_window_override(capsys):
     code, out, _ = run(
         capsys, "dt", "--eB", "2", "--eS", "12", "--p-window=-5:5",
@@ -168,7 +252,122 @@ def test_usage_errors(capsys):
     assert code == 1 and "error" in err
     code, _, err = run(capsys, "vertex", "--legs", "1;2")
     assert code == 1
+    code, _, err = run(capsys, "vertex", "--legs", "")
+    assert code == 1 and "error" in err
     code, _, err = run(capsys, "dt", "--eB", "1", "--eS", "12")
     assert code == 1
     code, _, err = run(capsys, "dt", "--p-window", "oops")
     assert code == 1
+
+
+def _frozen_commands():
+    cmds = [
+        ("check", "all", "--q-order", "3", "--p-order", "7"),
+        ("check", "all", "--q-order", "3", "--p-order", "7", "--format", "json"),
+        ("symprod-check", "--q-order", "4", "--random", "2", "--seed", "7"),
+        ("symprod-check", "--q-order", "4", "--random", "2", "--seed", "7", "--format", "json"),
+        ("symprod-check", "--q-order", "3", "--random", "3", "--seed", "1", "--exponent", "-2"),
+        ("symprod-check", "--q-order", "3", "--random", "3", "--seed", "1", "--exponent", "-2",
+         "--format", "json"),
+    ]
+    fmts = ("pretty", "json", "csv")
+    for side in ("ratio", "jacobi", "both"):
+        for fmt in fmts:
+            cmds.append(("kkv", "--q-order", "2", "--p-order", "6", "--side", side, "--format", fmt))
+    for command, surface, sides in (
+        ("dt", ("2", "24"), ("sum", "product", "both")),
+        ("dtfib", ("0", "12"), ("sum", "product", "both")),
+        ("connected", ("-2", "12"), ("ratio", "jacobi", "both")),
+    ):
+        base = (command, "--eB", surface[0], "--eS", surface[1], "--q-order", "2", "--p-order", "6")
+        for side in sides:
+            for fmt in fmts:
+                cmds.append(base + ("--side", side, "--format", fmt))
+    cmds += [
+        ("dt", "--eB", "2", "--eS", "24", "--q-order", "2", "--p-order", "6", "--p-window=-5:5"),
+        ("dt", "--eB", "2", "--eS", "24", "--q-order", "2", "--p-order", "6", "--p-window=-5:5",
+         "--format", "json"),
+        ("dtfib", "--eB", "0", "--eS", "12", "--q-order", "2", "--p-order", "6", "--p-window=0:6",
+         "--side", "sum", "--format", "json"),
+        ("connected", "--eB", "-2", "--eS", "12", "--q-order", "2", "--p-order", "6",
+         "--p-window=-3:4", "--format", "csv"),
+        ("kkv", "--q-order", "2", "--p-order", "6", "--p-window=-2:5", "--format", "json"),
+    ]
+    for fmt in fmts:
+        cmds.append(("fd", "--eB", "2", "--eS", "12", "--smooth", "1,1", "--nodal", "1",
+                     "--p-order", "7", "--format", fmt))
+        cmds.append(("vertex", "--legs", "2,1;;1", "--p-order", "6", "--format", fmt))
+    for fmt in ("pretty", "json"):
+        cmds.append(("tangent", "--eB", "2", "--eS", "12", "--smooth-fibers", "2,1",
+                     "--nodal-fibers", "3", "--arrows", "--format", fmt))
+    return cmds
+
+
+# (exit code, sha256 of stdout) per command of _frozen_commands(), in order,
+# recorded from the command line before its result and comparison paths were
+# merged; any change to a printed byte shows here.
+FROZEN_DIGESTS = (
+    (0, "2281c1a8935486ff57695ca5a336fbf92377a11cf3afb9c6845d3b062cec0236"),
+    (0, "d1e2d77a4136d46b9624df381f647fc21e8d574d45bac17265a142cea1a5b09b"),
+    (0, "9d01a69ddf35adf86192257b8aa4ae54a101ed95185c3223cd45743f08c2b0dc"),
+    (0, "55550be18a516fa2c76ecf58b77fb12736f38061eb901c9ac44bdadc26aa6eb2"),
+    (0, "a17c3f2087a335c339dbccba03e69e0b8eb9d5b3b24c242a74bc1f52006d65f0"),
+    (0, "0a66d509b58beb43f642a2828bce7363339c703ae5e775d819f3bc7fbc2000b9"),
+    (0, "4ee0c3d4e49f98bc4355cc0843549313046603329e9faa556999b66dc5188a0d"),
+    (0, "43433f3f0f4b2a4d644bcc587d7a37e25b27c5f0bcced94d9288f78271ea5832"),
+    (0, "f9ef9a1594844580e296bde285d589773aec536ad59849a5c38a10400db1be51"),
+    (0, "4ee0c3d4e49f98bc4355cc0843549313046603329e9faa556999b66dc5188a0d"),
+    (0, "efc4d758dbea8d57fc2847488c1cc69bdc5d2a84361c89cbf0a24ed856081b46"),
+    (0, "f9ef9a1594844580e296bde285d589773aec536ad59849a5c38a10400db1be51"),
+    (0, "0e6575eaf0eb949cf67c496ee76c139fd57d645cfbdcdf6e628c95f0192f3c6c"),
+    (0, "6872ec0da2f1565d02cc300674a86a740d4196e37fc991db11a0130a4ce7eb0b"),
+    (0, "98de43205a7f4458556e91251fa20d96f38a7c2b98373c9083772c92c3af4b2e"),
+    (0, "bf760e93addc44ad654138e1286a801a5ed6ebce181d441216d0a6a3e0113314"),
+    (0, "3cac50a90a9da8ee93c3190d628c560211708f46f0f9a9207a2259d6d7ac3cb0"),
+    (0, "9dbc8c8c9b779281a805ad63ff48c1d9b8657a1b6eede2e2e44fa0788fa52270"),
+    (0, "619ded2fd50c28e5e56c017d1edbc00d9db458a2dc2b121b5f7fc54637c51332"),
+    (0, "9efc4451c83469fa0cb3faf36dcfec325104e075984a33c76607d9bf8201c974"),
+    (0, "5f8ea813a6a919920904a6bdf440738a597b64e75123180decce3fa8f81603d2"),
+    (0, "edcf2104f2767816637e4ac4f3ea7751830751df4ccbe75722396c953b95c952"),
+    (0, "b8264eb2e2746ea019d580c6709ec78c870a3d67d4a2dcc312b49d2fcfe45172"),
+    (0, "49e1076a9e2baffa6a132a34b3a4e1d7d0fff22c22dd0b4ae9d3b6abdf2b2414"),
+    (0, "1f567ee71ee4735e1da52f80395e6e06fc64421fd86731fc26bf0ef049353303"),
+    (0, "ba9c49212ac8cf7d30a56da35614cffd0378fa1d1458a16a9f675628bceccf58"),
+    (0, "4dcdaec6291231bec4b7d44911bd237003becd8d0eafd42c202d86b34de40a2c"),
+    (0, "2b7a2a6a11619c87636d75e335f36d590fa97bc67aa9cc9f38fc474e831e596e"),
+    (0, "e91ab6686ab0590373ad927cbb39c44c0ed858ae32b0d9e40bf058f841db2468"),
+    (0, "ea24e662f1c35c1af1e8d097b510557e0813f5d5b6b20fd7a632a2bdead8a2b5"),
+    (0, "e6fb2db18350a84ce6660759de257e0d8fb6790d974cbebb61b2a0d28f0cfc4b"),
+    (0, "05ac6ea6352b316a427e480d20f6df917c8bf2aa1cb8b0d7407e55458204c68a"),
+    (0, "f604d9d8269d2b18011f996bb76602ffb95522376c73268442fff37cda23f1f1"),
+    (0, "ba8f6b271e4c0bd7df5439132d9ee7031bf7a61c10b556fccb581e3d8c47794a"),
+    (0, "7200fa88a11071eec6e47ee7e805e308604bb2a9c4fb21e17824a135f722ebb1"),
+    (0, "450a311b43118265614244461368101668bab119cab53820046c319391d873f7"),
+    (0, "ba8f6b271e4c0bd7df5439132d9ee7031bf7a61c10b556fccb581e3d8c47794a"),
+    (0, "f3581254ff1a1e16a925cd1f9c4655f5999f2b2f01b89bac0a0b80d2d35428ff"),
+    (0, "450a311b43118265614244461368101668bab119cab53820046c319391d873f7"),
+    (0, "8455f9216bb84d63b82882c11970356b4b0055ee8e059e76e44dadc90fdb3f45"),
+    (0, "b29417c3e423485cc9df7db57cf69a861c3e97d70ceaa388f94a0f86bdbd1001"),
+    (0, "ab9214668ed5112c3d5e9d67bf911543a1422644c02a2fbf7e164d234777d025"),
+    (0, "d33563e7eed1f57f87b6f5b59f2fe3c2bf29aca55b2ca3d9cbec7c62ce9c5498"),
+    (0, "a2018c098344967496ac2bda9f9f7eb114067ea9b608bfe76caaa0aebdc6987c"),
+    (0, "ba9c49212ac8cf7d30a56da35614cffd0378fa1d1458a16a9f675628bceccf58"),
+    (0, "cb4b58b64c5d0370849df4468e2f2926c79d551b28af537aa76f296c7137aa26"),
+    (0, "cdeb9c1ae55aa48fa9baff9058dc5f8476db5cc7c6c8b0fe41933bdddfa17f1c"),
+    (0, "c44ac9f81fc68d6d91e749fe4ef4e44125d3f9fd5977897844987d95e5c3868f"),
+    (0, "b2f9d0bb08cc57ca938c3a0a57d74d729ceaa279f9ada10284136c3e2c81e65a"),
+    (0, "fe04a23324d68275be167fcd43dd51e28758b8648c5d7427506a5629e5bb2d8b"),
+    (0, "933721e41cdc6480d5cae324f71ccab92168e0104d705060d0df7b4cc63f6f0c"),
+    (0, "9cbd37b3909324bd13591b66ea3c82f556e5e54e9e3f1051d1a433a074fbe0ba"),
+    (0, "193024f7e4da207cb7a7e95f88b870114cbc15c467cf7370b74fbae3fd6a99f3"),
+    (0, "b6a388afb200d528e2ac3a951527a44dd75438f2a18544b4c467e0017b423130"),
+    (0, "86721d8e2de23d1e9c655e3423cb11107158181b3b41a73050558d2732c83273"),
+)
+
+
+def test_cli_output_digests_frozen(capsys):
+    got = []
+    for argv in _frozen_commands():
+        code, out, _ = run(capsys, *argv)
+        got.append((code, hashlib.sha256(out.encode()).hexdigest()))
+    assert got == list(FROZEN_DIGESTS)
