@@ -86,6 +86,13 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are usage errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise UsageError("%s\n%s" % (message, self.format_usage().rstrip()))
+
+
 def _cache(ns):
     path = ns.cache_dir or os.environ.get(CACHE_ENV)
     return VertexCache(path) if path else None
@@ -193,16 +200,19 @@ def _cmd_vertex(ns, out):
     return 0
 
 
-def _cmd_compare(ns, out, command=None, **extra):
+def _cmd_compare(ns, out, command=None, built=None, **extra):
     """One side of a COMPARISONS command, or both sides compared.
 
-    command defaults to ns.command; extra keys go into the JSON report.
+    command defaults to ns.command; built maps a side already built by the
+    caller to its series; extra keys go into the JSON report.
     """
     fn_name, sides = COMPARISONS[command or ns.command]
     surf = dtseries.SurfaceData(ns.eB, ns.eS)
     cache = _cache(ns)
 
     def build(side):
+        if built and side in built:
+            return built[side]
         return getattr(dtseries, fn_name)(surf, ns.q_order, ns.p_order, side, ns.p_window, cache)
 
     if ns.side == "both":
@@ -225,7 +235,7 @@ def _cmd_kkv(ns, out):
     q0 = ser.coefficient(0)
     hi = min(ser.windows[0][1], 2 * ns.p_order)
     ok = all(q0[e] == (e // 2 if e % 2 == 0 and e >= 2 else 0) for e in range(ser.windows[0][0], hi + 1))
-    status = _cmd_compare(ns, out, "connected", kkv_q0_specialization=ok)
+    status = _cmd_compare(ns, out, "connected", {"jacobi": ser}, kkv_q0_specialization=ok)
     if ns.format == "pretty":
         out.write("KKV q^0 specialization p/(1-p)^2: %s\n" % ("PASS" if ok else "FAIL"))
     return status if ok else 2
@@ -434,7 +444,7 @@ def _cmd_check(ns, out):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ellipticdt",
         description="Exact vertex enumeration and curve-counting series for local elliptic surfaces.",
     )

@@ -10,6 +10,12 @@ identity_b and identity_c checks isolate the three trace identities the
 product forms rest on.
 
 All p-exponents are in half-units (see series module).
+
+The surface-independent building blocks (vertex rows and weights, F1 and F2,
+the product factors and the unit products raised to Euler-characteristic
+powers) are memoized per process in vertex.SERIES_MEMO, so one `check all`
+builds each of them once; vertex.clear_memo() drops them with the vertex
+records.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import reduce, wraps
 
 from .partitions import BOX, EMPTY, enumerate_partitions
 from .series import (
@@ -33,7 +39,7 @@ from .series import (
     substitute_neg_p,
     theta,
 )
-from .vertex import LegConfig, tilde_vertex
+from .vertex import SERIES_MEMO, LegConfig, tilde_vertex
 
 
 @dataclass(frozen=True)
@@ -65,12 +71,37 @@ class PointConfig:
         return sum(self.a) + sum(self.b)
 
 
+def _memoized(build):
+    """Serve repeated calls of a pure series builder from SERIES_MEMO.
+
+    The key is the builder and its positional arguments, all hashable: a
+    _Tilde keys by its order and cache directory, so a call with another cache
+    directory builds again and writes that directory's vertex records.
+    """
+
+    @wraps(build)
+    def memoized(*args):
+        key = (build, args)
+        out = SERIES_MEMO.get(key)
+        if out is None:
+            out = SERIES_MEMO[key] = build(*args)
+        return out
+
+    return memoized
+
+
 class _Tilde:
     """Normalized-vertex values as q-free series with window [0, 2*order]."""
 
     def __init__(self, order, cache=None):
         self.order = order
         self.cache = cache
+
+    def __eq__(self, other):
+        return isinstance(other, _Tilde) and (self.order, self.cache) == (other.order, other.cache)
+
+    def __hash__(self):
+        return hash((self.order, self.cache))
 
     def __call__(self, lam, mu, nu):
         rec = tilde_vertex(LegConfig(lam, mu, nu), self.order, self.cache)
@@ -89,15 +120,21 @@ def _embed(series, q_order):
     return PQSeries.constant(series.coeffs[0], q_order, window=series.windows[0])
 
 
+@_memoized
+def _inverse(lam, t):
+    """1/V~(lam, empty, empty), the one inverse every row, weight and F1 divides by."""
+    return invert(t(lam, EMPTY, EMPTY))
+
+
+@_memoized
 def F1F2(order, cache=None):
     """The two universal vertex factors.
 
     F1 = p^(1/2) V~(box)/V~(empty) lies in p^(1/2) Z[[p]]; F2 = V~(empty).
     """
     t = _Tilde(order, cache)
-    f2 = t(EMPTY, EMPTY, EMPTY)
-    f1 = (t(BOX, EMPTY, EMPTY) * invert(f2)).shift_p(1)
-    return f1, f2
+    f1 = (t(BOX, EMPTY, EMPTY) * _inverse(EMPTY, t)).shift_p(1)
+    return f1, t(EMPTY, EMPTY, EMPTY)
 
 
 def _sum(terms):
@@ -114,50 +151,52 @@ def _product(factors, q_order):
 # The three vertex sums of the trace identities, one q-free row per degree d
 
 
+@_memoized
 def _smooth_row(d, t):
     """Sum over lam |- d of V~(lam,box,empty)/V~(lam,empty,empty) * p^(-lam_1)."""
     return _sum(
-        (t(lam, BOX, EMPTY) * invert(t(lam, EMPTY, EMPTY))).shift_p(-2 * lam.first_part())
+        (t(lam, BOX, EMPTY) * _inverse(lam, t)).shift_p(-2 * lam.first_part())
         for lam in enumerate_partitions(d)
     )
 
 
+@_memoized
 def _nodal_row(d, t):
     """Sum over mu |- d of V~(mu,mu',empty) V~(mu,box,empty)/V~(mu,empty,empty) * p^(-mu_1)."""
     return _sum(
-        (
-            t(mu, mu.conjugate(), EMPTY) * t(mu, BOX, EMPTY) * invert(t(mu, EMPTY, EMPTY))
-        ).shift_p(-2 * mu.first_part())
+        (t(mu, mu.conjugate(), EMPTY) * t(mu, BOX, EMPTY) * _inverse(mu, t)).shift_p(
+            -2 * mu.first_part()
+        )
         for mu in enumerate_partitions(d)
     )
 
 
+@_memoized
 def _fiber_series(q_order, t):
-    """Row d is the sum over mu |- d of V~(mu,mu',empty)/V~(empty), for d <= q_order.
-
-    Only ever used as a whole series, so 1/V~(empty) is inverted once, not per row.
-    """
-    inv_empty = invert(t(EMPTY, EMPTY, EMPTY))
+    """Row d is the sum over mu |- d of V~(mu,mu',empty)/V~(empty), for d <= q_order."""
     return _stack_q(
         [
-            _sum(t(mu, mu.conjugate(), EMPTY) for mu in enumerate_partitions(d)) * inv_empty
+            _sum(t(mu, mu.conjugate(), EMPTY) for mu in enumerate_partitions(d))
+            * _inverse(EMPTY, t)
             for d in range(q_order + 1)
         ]
     )
 
 
+@_memoized
 def _smooth_weight(a, t):
     """g(a) as a q-free series: V~(empty)/V~(box) times the smooth row."""
     if a == 0:
         return PQSeries.one(0)
-    return t(EMPTY, EMPTY, EMPTY) * invert(t(BOX, EMPTY, EMPTY)) * _smooth_row(a, t)
+    return t(EMPTY, EMPTY, EMPTY) * _inverse(BOX, t) * _smooth_row(a, t)
 
 
+@_memoized
 def _nodal_weight(b, t):
     """h(b) as a q-free series: 1/V~(box) times the nodal row."""
     if b == 0:
         return PQSeries.one(0)
-    return invert(t(BOX, EMPTY, EMPTY)) * _nodal_row(b, t)
+    return _inverse(BOX, t) * _nodal_row(b, t)
 
 
 def g_of(a, order, cache=None):
@@ -189,8 +228,7 @@ def f_d_series(config, surf, order, mode="factored", cache=None):
     """
     t = _Tilde(order, cache)
     if mode == "factored":
-        f1, f2 = F1F2(order, cache)
-        out = power(f1, surf.eB) * power(f2, surf.eS)
+        out = _factored_prefactor(surf.eB, surf.eS, t)
         for a in config.a:
             out = out * _smooth_weight(a, t)
         for b in config.b:
@@ -199,14 +237,26 @@ def f_d_series(config, surf, order, mode="factored", cache=None):
     if mode != "strata":
         raise ValueError("mode must be 'factored' or 'strata'")
     n, m = len(config.a), len(config.b)
-    out = power(t(EMPTY, EMPTY, EMPTY), surf.eS - surf.eB + n)
-    out = out * power(t(BOX, EMPTY, EMPTY), surf.eB - n - m)
-    out = out.shift_p(surf.eB)  # p^(chi of the base) with chi = eB/2
+    out = _strata_prefactor(surf.eS - surf.eB + n, surf.eB - n - m, surf.eB, t)
     for a in config.a:
         out = out * _smooth_row(a, t)
     for b in config.b:
         out = out * _nodal_row(b, t)
     return out
+
+
+@_memoized
+def _factored_prefactor(eB, eS, t):
+    """F1^eB * F2^eS."""
+    f1, f2 = F1F2(t.order, t.cache)
+    return power(f1, eB) * power(f2, eS)
+
+
+@_memoized
+def _strata_prefactor(x, y, eB, t):
+    """V~(empty)^x * V~(box)^y * p^(eB/2), eB/2 being the Euler characteristic of the base."""
+    out = power(t(EMPTY, EMPTY, EMPTY), x) * power(t(BOX, EMPTY, EMPTY), y)
+    return out.shift_p(eB)
 
 
 def f_d(config, surf, order, mode="factored", cache=None):
@@ -226,28 +276,49 @@ def f_d_compare(config, surf, order, cache=None):
 # Full partition functions
 
 
-def _default_window(order):
-    return (-(2 * order + 2), 2 * order + 2)
+def _window(p_window, order):
+    """p_window as a (hashable) tuple, or the default window of the p-order when None."""
+    if p_window is None:
+        return (-(2 * order + 2), 2 * order + 2)
+    return tuple(p_window)
 
 
+@_memoized
 def _macmahon_tower(q_order, pw):
     """prod_d M(p, q^d) for 1 <= d <= q_order."""
     factors = [macmahon(q_order, pw, shift=d) for d in range(1, q_order + 1)]
     return _product(factors, q_order)
 
 
+@_memoized
 def _inverse_euler(q_order, pw):
     """prod_d (1 - q^d)^(-1) for 1 <= d <= q_order."""
     factors = [linear_factor(0, d, -1, q_order, pw) for d in range(1, q_order + 1)]
     return _product(factors, q_order)
 
 
+@_memoized
 def _theta_tail(q_order, pw):
     """prod_d 1/((1 - p q^d)(1 - p^(-1) q^d)) for 1 <= d <= q_order."""
     factors = [
         linear_factor(e, d, -1, q_order, pw) for d in range(1, q_order + 1) for e in (1, -1)
     ]
     return _product(factors, q_order)
+
+
+@_memoized
+def _dt_fib_unit(q_order, pw):
+    """M(p) prod_d M(p, q^d), the unit the product side of dt_fib raises to eS."""
+    return macmahon_p(q_order, pw) * _macmahon_tower(q_order, pw)
+
+
+@_memoized
+def _dt_hat_units(q_order, pw):
+    """(s1, s2) with the product side of dt_hat equal to s1^eS * s2^eB."""
+    s1 = _dt_fib_unit(q_order, pw) * _inverse_euler(q_order, pw)
+    s2 = invert(PQSeries.from_terms([(1, 1), (-1, -1)], q_order).with_p_hi(pw[1]))
+    s2 = s2 * euler_product(q_order, pw) * _theta_tail(q_order, pw)
+    return s1, s2
 
 
 def dt_hat(surf, q_order, order, side="product", p_window=None, cache=None):
@@ -269,10 +340,8 @@ def dt_hat(surf, q_order, order, side="product", p_window=None, cache=None):
         return out
     if side != "product":
         raise ValueError("side must be 'sum' or 'product'")
-    pw = p_window if p_window is not None else _default_window(order)
-    s1 = macmahon_p(q_order, pw) * _macmahon_tower(q_order, pw) * _inverse_euler(q_order, pw)
-    s2 = invert(PQSeries.from_terms([(1, 1), (-1, -1)], q_order).with_p_hi(pw[1]))
-    s2 = s2 * euler_product(q_order, pw) * _theta_tail(q_order, pw)
+    pw = _window(p_window, order)
+    s1, s2 = _dt_hat_units(q_order, pw)
     return power(s1, surf.eS) * power(s2, surf.eB)
 
 
@@ -297,9 +366,8 @@ def dt_fib(surf, q_order, order, side="product", p_window=None, cache=None):
         return out
     if side != "product":
         raise ValueError("side must be 'sum' or 'product'")
-    pw = p_window if p_window is not None else _default_window(order)
-    s1 = macmahon_p(q_order, pw) * _macmahon_tower(q_order, pw)
-    return power(s1, surf.eS) * power(_inverse_euler(q_order, pw), surf.eB)
+    pw = _window(p_window, order)
+    return power(_dt_fib_unit(q_order, pw), surf.eS) * power(_inverse_euler(q_order, pw), surf.eB)
 
 
 def connected(surf, q_order, order, side="ratio", p_window=None, cache=None):
@@ -309,7 +377,7 @@ def connected(surf, q_order, order, side="ratio", p_window=None, cache=None):
     jacobi: (prod_k (1-q^k))^(-eS) * Theta^(-eB); the q^(1/24) prefactor of the
             eta function cancels against the normalization by construction.
     """
-    pw = p_window if p_window is not None else _default_window(order)
+    pw = _window(p_window, order)
     if side == "ratio":
         num = dt_hat(surf, q_order, order, "product", pw, cache)
         den = dt_fib(surf, q_order, order, "product", pw, cache)
@@ -408,7 +476,7 @@ def identity_a(q_order, order, cache=None, p_window=None):
     t = _Tilde(order, cache)
     one_minus_p = PQSeries.from_terms([(0, 1), (2, -1)], q_order)
     lhs = _stack_q([_smooth_row(d, t) for d in range(q_order + 1)]) * one_minus_p
-    pw = p_window if p_window is not None else _default_window(order)
+    pw = _window(p_window, order)
     return lhs, euler_product(q_order, pw) * _theta_tail(q_order, pw)
 
 
@@ -417,7 +485,7 @@ def identity_b(q_order, order, cache=None, p_window=None):
     t = _Tilde(order, cache)
     one_minus_p = PQSeries.from_terms([(0, 1), (2, -1)], q_order)
     lhs = _stack_q([_nodal_row(d, t) for d in range(q_order + 1)]) * one_minus_p
-    pw = p_window if p_window is not None else _default_window(order)
+    pw = _window(p_window, order)
     rhs = macmahon_p(q_order, pw) * _macmahon_tower(q_order, pw) * _theta_tail(q_order, pw)
     return lhs, rhs
 
@@ -426,5 +494,5 @@ def identity_c(q_order, order, cache=None, p_window=None):
     """Fiber-class trace identity: conjugate-leg vertex ratios against their product form."""
     t = _Tilde(order, cache)
     lhs = _fiber_series(q_order, t)
-    pw = p_window if p_window is not None else _default_window(order)
+    pw = _window(p_window, order)
     return lhs, _inverse_euler(q_order, pw) * _macmahon_tower(q_order, pw)

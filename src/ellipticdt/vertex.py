@@ -269,13 +269,22 @@ def _slice_ideals(preds, succs, allowed, cap):
                 stack.append((grown, opened, k))
 
 
-# in-memory memo: leg parts -> VertexRecord at the largest order computed so far
+# In-process memos, all dropped together by clear_memo():
+# leg parts -> VertexRecord at the largest order computed so far
 _MEMO = {}
+# (cache, leg parts, order) whose record this process has read from or written to that cache
+_SYNCED = set()
+# series built from vertex records and product factors, keyed by builder and arguments
+# (filled by dtseries)
+SERIES_MEMO = {}
 
 
 def clear_memo():
-    """Drop all in-process vertex records (disk caches are unaffected)."""
+    """Drop every in-process memo: vertex records, the record keys known to be
+    on disk, and the dtseries building blocks (disk caches are unaffected)."""
     _MEMO.clear()
+    _SYNCED.clear()
+    SERIES_MEMO.clear()
 
 
 class VertexCache:
@@ -284,11 +293,18 @@ class VertexCache:
     Lookups use the exact key only; writes are atomic (temp file + rename), so
     concurrent identical computations race benignly.  IO failures, and records
     whose legs, order or counts do not fit the key, are treated as cache
-    misses, so a damaged or misplaced file never changes a result.
+    misses, so a damaged or misplaced file never changes a result.  Two caches
+    on the same directory are equal.
     """
 
     def __init__(self, directory):
         self.directory = str(directory)
+
+    def __eq__(self, other):
+        return isinstance(other, VertexCache) and self.directory == other.directory
+
+    def __hash__(self):
+        return hash(self.directory)
 
     def _path(self, key):
         return os.path.join(self.directory, key.replace("|", "_") + ".json")
@@ -323,20 +339,26 @@ def tilde_vertex(cfg, order, cache=None):
     """The normalized vertex record: counts[n] ideals with n boxes outside all legs.
 
     counts[n] does not depend on the order, so records computed at a higher
-    order are sliced rather than recomputed.
+    order are sliced rather than recomputed.  A record served from memory is
+    still written to `cache` when missing there, but each key is looked up in
+    a given cache directory only once until clear_memo().
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     mkey = (cfg.lam.parts, cfg.mu.parts, cfg.nu.parts)
+    skey = (cache, mkey, order)
     memo = _MEMO.get(mkey)
     if memo is not None and memo.order >= order:
         rec = _slice_record(memo, order)
-        if cache is not None and cache.get(cfg, order) is None:
-            cache.put(rec)
+        if cache is not None and skey not in _SYNCED:
+            if cache.get(cfg, order) is None:
+                cache.put(rec)
+            _SYNCED.add(skey)
         return rec
     if cache is not None:
         rec = cache.get(cfg, order)
         if rec is not None:
+            _SYNCED.add(skey)
             if memo is None or memo.order < rec.order:
                 _MEMO[mkey] = rec
             return rec
@@ -353,6 +375,7 @@ def tilde_vertex(cfg, order, cache=None):
         _MEMO[mkey] = rec
     if cache is not None:
         cache.put(rec)
+        _SYNCED.add(skey)
     return rec
 
 

@@ -6,8 +6,10 @@ import json
 import os
 from pathlib import Path
 
+import pytest
+
 import ellipticdt
-from ellipticdt import dtseries
+from ellipticdt import dtseries, vertex
 from ellipticdt.cli import main
 from ellipticdt.series import PQSeries
 
@@ -102,6 +104,26 @@ def test_kkv(capsys):
     code, out, _ = run(capsys, "kkv", "--q-order", "1", "--p-order", "7")
     assert code == 0
     assert "KKV" in out and "PASS" in out
+
+
+def _count_calls(monkeypatch, owner, attr, counts, name):
+    real = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+
+
+def test_kkv_builds_the_jacobi_side_once(capsys, monkeypatch):
+    counts = {}
+    _count_calls(monkeypatch, dtseries, "connected", counts, "connected")
+    for side, calls in (("jacobi", 1), ("both", 2), ("ratio", 2)):
+        counts.clear()
+        code, _, _ = run(capsys, "kkv", "--q-order", "1", "--p-order", "5", "--side", side)
+        assert code == 0
+        assert counts == {"connected": calls}, side
 
 
 def test_fd(capsys):
@@ -258,6 +280,51 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "dt", "--p-window", "oops")
     assert code == 1
+    # argparse's own errors too: exit code 2 would claim a found discrepancy
+    for argv in (("dt", "--q-order", "x"), ("dt", "--bogus"), ("check", "nope"), ()):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and "usage: ellipticdt" in err
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["dt", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: ellipticdt" in capsys.readouterr().out
+
+
+def test_check_all_passes_repeat_their_work_after_clear_memo(tmp_path, capsys, monkeypatch):
+    """The benchmark clears the memos before each pass; a pass must then redo the same work."""
+    counts = {}
+    legs = set()
+    for owner, attr, name in (
+        (dtseries, "tilde_vertex", "tilde_vertex"),
+        (PQSeries, "__mul__", "mul"),
+        (dtseries, "invert", "invert"),
+        (dtseries, "power", "power"),
+        (vertex.VertexCache, "get", "cache_get"),
+    ):
+        _count_calls(monkeypatch, owner, attr, counts, name)
+    real_tilde = dtseries.tilde_vertex
+
+    def noted(cfg, order, cache=None):
+        legs.add((cfg, order))
+        return real_tilde(cfg, order, cache)
+
+    monkeypatch.setattr(dtseries, "tilde_vertex", noted)
+    argv = ("check", "all", "--q-order", "3", "--p-order", "6", "--cache-dir", str(tmp_path))
+    passes = []
+    for _ in range(2):
+        vertex.clear_memo()
+        counts.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        passes.append(dict(counts))
+    assert passes[0] == passes[1]
+    assert passes[1]["cache_get"] == len(legs) == len(list(tmp_path.glob("*.json")))
+    assert passes[1]["tilde_vertex"] > len(legs)  # repeated vertices are memo hits
 
 
 def _frozen_commands():

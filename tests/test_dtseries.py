@@ -32,6 +32,7 @@ from ellipticdt.series import (
     power,
     substitute_neg_p,
 )
+from ellipticdt.vertex import VertexCache, clear_memo
 
 
 def test_surface_data_validation():
@@ -393,3 +394,64 @@ def _digest(series):
 
 def test_output_digests_frozen():
     assert {name: _digest(s) for name, s in _frozen_outputs()} == FROZEN_DIGESTS
+
+
+def _memo_builds(cache):
+    """name -> thunk building one result at q3/p6 through the memoized blocks."""
+    q_order, order = 3, 6
+    builds = {}
+    for fn in (identity_a, identity_b, identity_c):
+        builds[fn.__name__] = lambda fn=fn: fn(q_order, order, cache)
+    for eb, es in ((2, 24), (-2, 12)):
+        surf = SurfaceData(eb, es)
+        for fn, sides in (
+            (dt_hat, ("sum", "product")),
+            (dt_fib, ("sum", "product")),
+            (connected, ("ratio", "jacobi")),
+        ):
+            for side in sides:
+                builds["%s/%s/%+d/%d" % (fn.__name__, side, eb, es)] = (
+                    lambda fn=fn, surf=surf, side=side: fn(surf, q_order, order, side, None, cache)
+                )
+        for a, b in (((1,), (2,)), ((2, 1), ()), ((), (1, 1))):
+            for mode in ("factored", "strata"):
+                builds["f_d/%s/%+d/%d/%s/%s" % (mode, eb, es, a, b)] = (
+                    lambda pc=PointConfig(a, b), surf=surf, mode=mode: f_d_series(
+                        pc, surf, order, mode, cache
+                    )
+                )
+    return builds
+
+
+def test_memo_never_changes_a_result():
+    builds = _memo_builds(None)
+    reference = {}
+    for name, build in builds.items():
+        clear_memo()  # each result built alone, sharing nothing
+        reference[name] = build()
+    rng = random.Random(11)
+    for clear_first in (True, False, True, False):
+        if clear_first:
+            clear_memo()
+        names = list(builds)
+        rng.shuffle(names)
+        for name in names:
+            assert builds[name]() == reference[name], name
+
+
+def test_memo_still_writes_each_cache_directory(tmp_path):
+    """The memo is keyed by cache directory, so a warm memo cannot skip a directory's records."""
+
+    def records(directory):
+        return {p.name: p.read_text() for p in directory.glob("*.json")}
+
+    clear_memo()
+    for build in _memo_builds(None).values():
+        build()
+    for build in _memo_builds(VertexCache(tmp_path / "after_uncached")).values():
+        build()
+    clear_memo()
+    for build in _memo_builds(VertexCache(tmp_path / "cold")).values():
+        build()
+    cold = records(tmp_path / "cold")
+    assert cold and records(tmp_path / "after_uncached") == cold

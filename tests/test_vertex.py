@@ -247,6 +247,34 @@ def test_cache_roundtrip(tmp_path):
     assert all(isinstance(c, str) for c in data["counts"])
 
 
+def test_memo_hit_reads_each_cache_key_once(tmp_path, monkeypatch):
+    """A record served from memory is written to a cache that lacks it, but
+    each key of a directory is looked up only once until clear_memo()."""
+    cache = VertexCache(tmp_path)
+    cfg = legs((2, 1), (), (1,))
+    gets = []
+    real_get = VertexCache.get
+
+    def counted_get(self, cfg, order):
+        gets.append(order)
+        return real_get(self, cfg, order)
+
+    monkeypatch.setattr(VertexCache, "get", counted_get)
+    clear_memo()
+    rec = tilde_vertex(cfg, 5)  # in memory only
+    path = cache._path(cfg.canonical_key(4))
+    assert tilde_vertex(cfg, 4, cache).counts == rec.counts[:5] and os.path.exists(path)
+    assert gets == [4]
+    os.remove(path)
+    for _ in range(3):
+        assert tilde_vertex(cfg, 4, VertexCache(tmp_path)).counts == rec.counts[:5]
+    assert gets == [4] and not os.path.exists(path)  # written once: not looked up again
+    clear_memo()
+    tilde_vertex(cfg, 5)
+    assert tilde_vertex(cfg, 4, cache).counts == rec.counts[:5]
+    assert gets == [4, 4] and os.path.exists(path)  # clear_memo() forgets what was written
+
+
 def test_cache_corruption_is_a_miss(tmp_path):
     cache = VertexCache(tmp_path)
     cfg = legs((1, 1), (), ())
