@@ -45,7 +45,6 @@ from .vertex import (
     minimal_element_count,
     minimal_volume,
     tilde_vertex,
-    tilde_vertex_series,
 )
 from .dtseries import (
     F1F2,

@@ -13,9 +13,9 @@ All p-exponents are in half-units (see series module).
 
 The surface-independent building blocks (vertex rows and weights, F1 and F2,
 the product factors and the unit products raised to Euler-characteristic
-powers) are memoized per process in vertex.SERIES_MEMO, so one `check all`
-builds each of them once; vertex.clear_memo() drops them with the vertex
-records.
+powers) go through vertex.memoized, the one in-process memo keyed by (builder,
+arguments), so one `check all` builds each of them once; vertex.clear_memo()
+drops them with the vertex records.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce, wraps
+from functools import reduce
 
 from .partitions import BOX, EMPTY, enumerate_partitions
 from .series import (
@@ -39,7 +39,7 @@ from .series import (
     substitute_neg_p,
     theta,
 )
-from .vertex import SERIES_MEMO, LegConfig, tilde_vertex
+from .vertex import LegConfig, memoized, tilde_vertex
 
 
 @dataclass(frozen=True)
@@ -71,25 +71,6 @@ class PointConfig:
         return sum(self.a) + sum(self.b)
 
 
-def _memoized(build):
-    """Serve repeated calls of a pure series builder from SERIES_MEMO.
-
-    The key is the builder and its positional arguments, all hashable: a
-    _Tilde keys by its order and cache directory, so a call with another cache
-    directory builds again and writes that directory's vertex records.
-    """
-
-    @wraps(build)
-    def memoized(*args):
-        key = (build, args)
-        out = SERIES_MEMO.get(key)
-        if out is None:
-            out = SERIES_MEMO[key] = build(*args)
-        return out
-
-    return memoized
-
-
 class _Tilde:
     """Normalized-vertex values as q-free series with window [0, 2*order]."""
 
@@ -104,8 +85,7 @@ class _Tilde:
         return hash((self.order, self.cache))
 
     def __call__(self, lam, mu, nu):
-        rec = tilde_vertex(LegConfig(lam, mu, nu), self.order, self.cache)
-        return PQSeries.constant(rec.tilde_laurent(), 0, window=(0, 2 * self.order))
+        return tilde_vertex(LegConfig(lam, mu, nu), self.order, self.cache).series()
 
 
 def _stack_q(parts):
@@ -120,13 +100,13 @@ def _embed(series, q_order):
     return PQSeries.constant(series.coeffs[0], q_order, window=series.windows[0])
 
 
-@_memoized
+@memoized
 def _inverse(lam, t):
     """1/V~(lam, empty, empty), the one inverse every row, weight and F1 divides by."""
     return invert(t(lam, EMPTY, EMPTY))
 
 
-@_memoized
+@memoized
 def F1F2(order, cache=None):
     """The two universal vertex factors.
 
@@ -151,7 +131,7 @@ def _product(factors, q_order):
 # The three vertex sums of the trace identities, one q-free row per degree d
 
 
-@_memoized
+@memoized
 def _smooth_row(d, t):
     """Sum over lam |- d of V~(lam,box,empty)/V~(lam,empty,empty) * p^(-lam_1)."""
     return _sum(
@@ -160,7 +140,7 @@ def _smooth_row(d, t):
     )
 
 
-@_memoized
+@memoized
 def _nodal_row(d, t):
     """Sum over mu |- d of V~(mu,mu',empty) V~(mu,box,empty)/V~(mu,empty,empty) * p^(-mu_1)."""
     return _sum(
@@ -171,7 +151,7 @@ def _nodal_row(d, t):
     )
 
 
-@_memoized
+@memoized
 def _fiber_series(q_order, t):
     """Row d is the sum over mu |- d of V~(mu,mu',empty)/V~(empty), for d <= q_order."""
     return _stack_q(
@@ -183,7 +163,7 @@ def _fiber_series(q_order, t):
     )
 
 
-@_memoized
+@memoized
 def _smooth_weight(a, t):
     """g(a) as a q-free series: V~(empty)/V~(box) times the smooth row."""
     if a == 0:
@@ -191,7 +171,7 @@ def _smooth_weight(a, t):
     return t(EMPTY, EMPTY, EMPTY) * _inverse(BOX, t) * _smooth_row(a, t)
 
 
-@_memoized
+@memoized
 def _nodal_weight(b, t):
     """h(b) as a q-free series: 1/V~(box) times the nodal row."""
     if b == 0:
@@ -245,14 +225,14 @@ def f_d_series(config, surf, order, mode="factored", cache=None):
     return out
 
 
-@_memoized
+@memoized
 def _factored_prefactor(eB, eS, t):
     """F1^eB * F2^eS."""
     f1, f2 = F1F2(t.order, t.cache)
     return power(f1, eB) * power(f2, eS)
 
 
-@_memoized
+@memoized
 def _strata_prefactor(x, y, eB, t):
     """V~(empty)^x * V~(box)^y * p^(eB/2), eB/2 being the Euler characteristic of the base."""
     out = power(t(EMPTY, EMPTY, EMPTY), x) * power(t(BOX, EMPTY, EMPTY), y)
@@ -283,21 +263,21 @@ def _window(p_window, order):
     return tuple(p_window)
 
 
-@_memoized
+@memoized
 def _macmahon_tower(q_order, pw):
     """prod_d M(p, q^d) for 1 <= d <= q_order."""
     factors = [macmahon(q_order, pw, shift=d) for d in range(1, q_order + 1)]
     return _product(factors, q_order)
 
 
-@_memoized
+@memoized
 def _inverse_euler(q_order, pw):
     """prod_d (1 - q^d)^(-1) for 1 <= d <= q_order."""
     factors = [linear_factor(0, d, -1, q_order, pw) for d in range(1, q_order + 1)]
     return _product(factors, q_order)
 
 
-@_memoized
+@memoized
 def _theta_tail(q_order, pw):
     """prod_d 1/((1 - p q^d)(1 - p^(-1) q^d)) for 1 <= d <= q_order."""
     factors = [
@@ -306,13 +286,13 @@ def _theta_tail(q_order, pw):
     return _product(factors, q_order)
 
 
-@_memoized
+@memoized
 def _dt_fib_unit(q_order, pw):
     """M(p) prod_d M(p, q^d), the unit the product side of dt_fib raises to eS."""
     return macmahon_p(q_order, pw) * _macmahon_tower(q_order, pw)
 
 
-@_memoized
+@memoized
 def _dt_hat_units(q_order, pw):
     """(s1, s2) with the product side of dt_hat equal to s1^eS * s2^eB."""
     s1 = _dt_fib_unit(q_order, pw) * _inverse_euler(q_order, pw)

@@ -16,6 +16,9 @@ whose top slice is J, and the 2D ideals of each slice are enumerated
 exhaustively.  Only this counting is taken
 from the slicing picture; no Schur-function formula is used.
 
+Vertex records and the dtseries building blocks share one in-process memo,
+keyed by (builder, arguments) with the cache directory included.
+
 Box membership convention (shared with partitions.Partition.contains):
 a box (rho, sigma, tau) lies in
 
@@ -30,6 +33,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import wraps
 
 from .partitions import Partition
 from .series import HalfLaurent, PQSeries
@@ -83,9 +87,10 @@ class VertexRecord:
     counts: tuple
     min_volume: int
 
-    def tilde_laurent(self):
-        """The normalized vertex as a Laurent polynomial (exact to p^order)."""
-        return HalfLaurent((2 * n, c) for n, c in enumerate(self.counts))
+    def series(self, q_order=0):
+        """The normalized vertex as a q-free series with window [0, 2*order] half-units."""
+        terms = HalfLaurent((2 * n, c) for n, c in enumerate(self.counts))
+        return PQSeries.constant(terms, q_order, window=(0, 2 * self.order))
 
     def to_json_dict(self):
         return {
@@ -269,22 +274,32 @@ def _slice_ideals(preds, succs, allowed, cap):
                 stack.append((grown, opened, k))
 
 
-# In-process memos, all dropped together by clear_memo():
-# leg parts -> VertexRecord at the largest order computed so far
-_MEMO = {}
-# (cache, leg parts, order) whose record this process has read from or written to that cache
-_SYNCED = set()
-# series built from vertex records and product factors, keyed by builder and arguments
-# (filled by dtseries)
-SERIES_MEMO = {}
+_MEMO = {}  # (builder, arguments) -> result, until clear_memo()
+
+
+def memoized(build):
+    """Serve repeated calls of a pure builder from the memo.
+
+    The key is the builder and its positional arguments, all hashable.  A
+    VertexCache compares by directory, so a call with another cache directory
+    builds again and reads or writes that directory.
+    """
+
+    @wraps(build)
+    def cached(*args):
+        key = (build, args)
+        out = _MEMO.get(key)
+        if out is None:
+            out = _MEMO[key] = build(*args)
+        return out
+
+    return cached
 
 
 def clear_memo():
-    """Drop every in-process memo: vertex records, the record keys known to be
-    on disk, and the dtseries building blocks (disk caches are unaffected)."""
+    """Drop the in-process memo: vertex records and the dtseries building blocks
+    (disk caches are unaffected)."""
     _MEMO.clear()
-    _SYNCED.clear()
-    SERIES_MEMO.clear()
 
 
 class VertexCache:
@@ -292,9 +307,9 @@ class VertexCache:
 
     Lookups use the exact key only; writes are atomic (temp file + rename), so
     concurrent identical computations race benignly.  IO failures, and records
-    whose legs, order or counts do not fit the key, are treated as cache
-    misses, so a damaged or misplaced file never changes a result.  Two caches
-    on the same directory are equal.
+    whose legs, order, counts or minimal volume do not fit the key, are treated
+    as cache misses, so a damaged or misplaced file never changes a result.
+    Two caches on the same directory are equal.
     """
 
     def __init__(self, directory):
@@ -319,6 +334,7 @@ class VertexCache:
             (rec.lam, rec.mu, rec.nu, rec.order) != (cfg.lam, cfg.mu, cfg.nu, order)
             or len(rec.counts) != order + 1
             or rec.counts[0] != 1
+            or rec.min_volume != minimal_volume(cfg)
         ):
             return None
         return rec
@@ -338,64 +354,26 @@ class VertexCache:
 def tilde_vertex(cfg, order, cache=None):
     """The normalized vertex record: counts[n] ideals with n boxes outside all legs.
 
-    counts[n] does not depend on the order, so records computed at a higher
-    order are sliced rather than recomputed.  A record served from memory is
-    still written to `cache` when missing there, but each key is looked up in
-    a given cache directory only once until clear_memo().
+    The record is memoized by legs, order and cache, so a pass counts or reads
+    each key once, and writes it to `cache` when it had to count it.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    mkey = (cfg.lam.parts, cfg.mu.parts, cfg.nu.parts)
-    skey = (cache, mkey, order)
-    memo = _MEMO.get(mkey)
-    if memo is not None and memo.order >= order:
-        rec = _slice_record(memo, order)
-        if cache is not None and skey not in _SYNCED:
-            if cache.get(cfg, order) is None:
-                cache.put(rec)
-            _SYNCED.add(skey)
-        return rec
+    return _record(cfg, order, cache)
+
+
+@memoized
+def _record(cfg, order, cache):
+    """Read the record from `cache`, or count it and write it there."""
     if cache is not None:
         rec = cache.get(cfg, order)
         if rec is not None:
-            _SYNCED.add(skey)
-            if memo is None or memo.order < rec.order:
-                _MEMO[mkey] = rec
             return rec
-    counts = _slice_counts(_candidate_poset(cfg, order), order)
-    rec = VertexRecord(
-        lam=cfg.lam,
-        mu=cfg.mu,
-        nu=cfg.nu,
-        order=order,
-        counts=tuple(counts),
-        min_volume=minimal_volume(cfg),
-    )
-    if memo is None or memo.order < rec.order:
-        _MEMO[mkey] = rec
+    counts = tuple(_slice_counts(_candidate_poset(cfg, order), order))
+    rec = VertexRecord(cfg.lam, cfg.mu, cfg.nu, order, counts, minimal_volume(cfg))
     if cache is not None:
         cache.put(rec)
-        _SYNCED.add(skey)
     return rec
-
-
-def _slice_record(record, order):
-    if record.order == order:
-        return record
-    return VertexRecord(
-        lam=record.lam,
-        mu=record.mu,
-        nu=record.nu,
-        order=order,
-        counts=record.counts[: order + 1],
-        min_volume=record.min_volume,
-    )
-
-
-def tilde_vertex_series(cfg, order, q_order=0, cache=None):
-    """The normalized vertex as a q-free PQSeries with window [0, 2*order] half-units."""
-    rec = tilde_vertex(cfg, order, cache)
-    return PQSeries.constant(rec.tilde_laurent(), q_order, window=(0, 2 * order))
 
 
 def vertex(cfg, order, q_order=0, cache=None):
@@ -404,7 +382,7 @@ def vertex(cfg, order, q_order=0, cache=None):
     The p-window is [min_volume, min_volume + order] in whole p-units.
     """
     rec = tilde_vertex(cfg, order, cache)
-    return tilde_vertex_series(cfg, order, q_order, cache).shift_p(2 * rec.min_volume)
+    return rec.series(q_order).shift_p(2 * rec.min_volume)
 
 
 def estimate_nodes(cfg, order):

@@ -234,7 +234,7 @@ def test_check_all_reports_a_failing_check(capsys, monkeypatch):
     assert _csv_rows(out)[1] == ["identity-b", "False", detail]
 
 
-def test_benchmark_tracer_sees_every_layer(capsys):
+def test_benchmark_tracer_sees_every_layer(tmp_path, capsys):
     """The benchmark's tracer wraps module attributes; each must be called through them."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
@@ -243,12 +243,15 @@ def test_benchmark_tracer_sees_every_layer(capsys):
     tracer = tracing.Tracer()
     tracing.install(tracer, ellipticdt)
     try:
-        code, _, _ = run(capsys, "check", "all", "--q-order", "2", "--p-order", "5")
+        code, _, _ = run(
+            capsys, "check", "all", "--q-order", "2", "--p-order", "5", "--cache-dir", str(tmp_path)
+        )
     finally:
         tracer.uninstall()
     assert code == 0
     seen = {span[0] for span in tracer.spans}
     want = {"cli.dispatch", "series.compare"} | set(tracing.DTSERIES_ENTRIES.values())
+    want |= {"vertex.tilde_vertex", "vertex.cache_get", "vertex.cache_put"}
     assert want <= seen, sorted(want - seen)
 
 

@@ -185,6 +185,23 @@ def test_ring_axioms_randomized():
         assert compare(lhs, rhs).equal and lhs == rhs
 
 
+def clamp(s, want):
+    """s with its knowledge ceiling lowered to `want`, but never below a degree's floor."""
+    floors = [hl.min_exp() for hl in s.coeffs if not hl.is_zero()]
+    return s.with_p_hi(max([want] + floors))
+
+
+def assert_window_sound(got, truth):
+    """Every coefficient `got` claims to know equals `truth`, the exact value."""
+    for d in range(got.q_order + 1):
+        lo, hi = got.windows[d]
+        if lo is None:
+            assert truth.coeffs[d].is_zero()
+            continue
+        for e in range(lo, (hi if hi is not None else lo + 20) + 1):
+            assert got.coeffs[d][e] == truth.coeffs[d][e]
+
+
 def test_window_claims_are_sound():
     # every coefficient claimed exact after windowed ops must equal the value
     # computed from fully exact inputs
@@ -192,22 +209,28 @@ def test_window_claims_are_sound():
     for _ in range(60):
         a_exact = rand_series(rng, q_order=2, exact=True)
         b_exact = rand_series(rng, q_order=2, exact=True)
-        truth = a_exact * b_exact
-
-        def clamp(s, want):
-            floors = [hl.min_exp() for hl in s.coeffs if not hl.is_zero()]
-            return s.with_p_hi(max([want] + floors))
-
         a = clamp(a_exact, rng.randint(2, 8))
         b = clamp(b_exact, rng.randint(2, 8))
-        got = a * b
-        for d in range(3):
-            lo, hi = got.windows[d]
-            if lo is None:
-                assert truth.coeffs[d].is_zero()
-                continue
-            for e in range(lo, (hi if hi is not None else lo + 20) + 1):
-                assert got.coeffs[d][e] == truth.coeffs[d][e]
+        assert_window_sound(a * b, a_exact * b_exact)
+
+
+def test_add_sub_and_reshaping_window_claims_are_sound():
+    # the same soundness for +, -, with_p_hi, shift_p and substitute_neg_p
+    rng = random.Random(56)
+    for _ in range(60):
+        q_order = rng.randint(0, 3)
+        a_exact = rand_series(rng, q_order=q_order, exact=True)
+        b_exact = rand_series(rng, q_order=rng.randint(0, 3), exact=True)
+        a = clamp(a_exact, rng.randint(-2, 8))
+        b = clamp(b_exact, rng.randint(-2, 8))
+        assert_window_sound(a + b, a_exact + b_exact)
+        assert_window_sound(a - b, a_exact - b_exact)
+        assert_window_sound(clamp(a, rng.randint(-4, 10)), a_exact)
+        k = rng.randint(-6, 6)
+        assert_window_sound(a.shift_p(k), a_exact.shift_p(k))
+        even_exact = series_from_rows([{2 * e: c for e, c in hl.items()} for hl in a_exact.coeffs])
+        even = clamp(even_exact, 2 * rng.randint(-2, 8))
+        assert_window_sound(substitute_neg_p(even), substitute_neg_p(even_exact))
 
 
 def test_invert_and_power_window_claims_are_sound():

@@ -14,7 +14,6 @@ from ellipticdt.vertex import (
     minimal_element_count,
     minimal_volume,
     tilde_vertex,
-    tilde_vertex_series,
     vertex,
 )
 
@@ -218,7 +217,7 @@ def test_symmetries_small():
 def test_usual_vertex_normalization():
     lam = Partition([2, 1])
     v = vertex(LegConfig(lam, EMPTY, EMPTY), 4)
-    t = tilde_vertex_series(LegConfig(lam, EMPTY, EMPTY), 4)
+    t = tilde_vertex(LegConfig(lam, EMPTY, EMPTY), 4).series()
     assert v == t  # single leg: no shift
     v = vertex(LegConfig(lam, BOX, EMPTY), 4)
     assert v.windows[0] == (-2 * lam.first_part(), 2 * (4 - lam.first_part()))
@@ -248,8 +247,9 @@ def test_cache_roundtrip(tmp_path):
 
 
 def test_memo_hit_reads_each_cache_key_once(tmp_path, monkeypatch):
-    """A record served from memory is written to a cache that lacks it, but
-    each key of a directory is looked up only once until clear_memo()."""
+    """The memo key holds the cache directory: the first call with a directory
+    reads it and writes what it counts, and later calls with that directory
+    are memo hits that touch no file until clear_memo()."""
     cache = VertexCache(tmp_path)
     cfg = legs((2, 1), (), (1,))
     gets = []
@@ -261,7 +261,7 @@ def test_memo_hit_reads_each_cache_key_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(VertexCache, "get", counted_get)
     clear_memo()
-    rec = tilde_vertex(cfg, 5)  # in memory only
+    rec = tilde_vertex(cfg, 5)  # no cache directory in the key
     path = cache._path(cfg.canonical_key(4))
     assert tilde_vertex(cfg, 4, cache).counts == rec.counts[:5] and os.path.exists(path)
     assert gets == [4]
@@ -329,7 +329,9 @@ def test_cache_record_with_bad_order_or_constant_term_is_a_miss(tmp_path):
     assert cache.get(cfg, 4) is None
     _rewrite_record(cache, cfg, 4, {"order": 4, "counts": ["2", "2", "5", "11", "24"]})
     assert cache.get(cfg, 4) is None
-    _rewrite_record(cache, cfg, 4, {"counts": [str(c) for c in rec1.counts]})
+    _rewrite_record(cache, cfg, 4, {"counts": [str(c) for c in rec1.counts], "min_volume": 7})
+    assert cache.get(cfg, 4) is None
+    _rewrite_record(cache, cfg, 4, {"min_volume": rec1.min_volume})
     assert cache.get(cfg, 4) == rec1
 
 
