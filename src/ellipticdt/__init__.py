@@ -26,7 +26,6 @@ from .series import (
     SeriesError,
     WindowExhausted,
     compare,
-    eta_with_prefactor,
     euler_product,
     invert,
     linear_factor,

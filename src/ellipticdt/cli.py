@@ -76,10 +76,12 @@ def _parse_window(text):
     if not text:
         return None
     try:
-        lo, hi = text.split(":")
-        return (2 * int(lo), 2 * int(hi))
+        lo, hi = (int(x) for x in text.split(":"))
     except ValueError:
         raise UsageError("--p-window expects lo:hi in whole p-units")
+    if lo > hi:
+        raise UsageError("--p-window %s is empty: lo exceeds hi" % text)
+    return (2 * lo, 2 * hi)
 
 
 class UsageError(Exception):

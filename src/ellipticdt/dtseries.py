@@ -335,10 +335,8 @@ def dt_fib(surf, q_order, order, side="product", p_window=None, cache=None):
     if side == "sum":
         t = _Tilde(order, cache)
         h_fib = _fiber_series(q_order, t)
-        counts = PQSeries(
-            q_order,
-            [HalfLaurent({0: len(enumerate_partitions(d))}) for d in range(q_order + 1)],
-            [(0, None)] * (q_order + 1),
+        counts = PQSeries.exact(
+            HalfLaurent({0: len(enumerate_partitions(d))}) for d in range(q_order + 1)
         )
         out = power(_embed(t(EMPTY, EMPTY, EMPTY), q_order), surf.eS)
         out = out * power(counts, surf.eB - surf.eS)
@@ -424,27 +422,11 @@ def symprod_check(g_table, e, q_order):
             coeff = _generalized_multinomial(e, list(mults.values()))
             acc = acc + prod.scale(coeff)
         lhs_rows.append(acc)
-    lhs = PQSeries(
-        q_order,
-        lhs_rows,
-        [
-            ((row.min_exp(), None) if not row.is_zero() else (None, None))
-            for row in lhs_rows
-        ],
+    lhs = PQSeries.exact(lhs_rows)
+    base = PQSeries.exact(
+        [HalfLaurent({0: 1})] + [table.get(a, HalfLaurent()) for a in range(1, q_order + 1)]
     )
-    rhs_rows = [HalfLaurent({0: 1})] + [
-        table.get(a, HalfLaurent()) for a in range(1, q_order + 1)
-    ]
-    base = PQSeries(
-        q_order,
-        rhs_rows,
-        [
-            ((row.min_exp(), None) if not row.is_zero() else (None, None))
-            for row in rhs_rows
-        ],
-    )
-    rhs = power(base, e)
-    return compare(lhs, rhs)
+    return compare(lhs, power(base, e))
 
 
 # ---------------------------------------------------------------------------

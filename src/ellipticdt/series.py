@@ -20,6 +20,13 @@ collapse to nothing under the large powers the surface formulas take.
 Every ring operation computes the widest window on which the convolution of
 exactly-known data is itself exact; an equality reported by ``compare`` is a
 statement about exactly-known coefficients only.
+
+Every product goes through one kernel: ``_degree_product`` folds the window of
+a q-degree from the factor windows first, then ``_convolve``, the only place
+that multiplies term pairs, skips each exponent above that window's ceiling.
+``HalfLaurent.__mul__``, series multiplication, ``invert`` and ``macmahon_p``
+all call it.  ``PQSeries.exact`` is the one constructor for exactly-known data:
+row d gets the window (min exponent, None), or (None, None) when it is zero.
 """
 
 from __future__ import annotations
@@ -107,18 +114,7 @@ class HalfLaurent:
         return HalfLaurent._raw({e: -v for e, v in self.c.items()})
 
     def __mul__(self, other):
-        if not self.c or not other.c:
-            return HalfLaurent._raw({})
-        c = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = e1 + e2
-                w = c.get(e, 0) + v1 * v2
-                if w:
-                    c[e] = w
-                else:
-                    del c[e]
-        return HalfLaurent._raw(c)
+        return _convolve(((self, other),))
 
     def scale(self, n):
         n = int(n)
@@ -249,17 +245,20 @@ class PQSeries:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def exact(cls, rows):
+        """Exactly-known data: row d is the whole q^d coefficient."""
+        rows = tuple(rows)
+        windows = [(None, None) if hl.is_zero() else (hl.min_exp(), None) for hl in rows]
+        return cls(len(rows) - 1, rows, windows)
+
+    @classmethod
     def from_terms(cls, terms, q_order, q_degree=0):
         """Exactly-known monomial data: terms is an iterable of (exp_half, coeff)."""
         if q_degree > q_order:
             raise ValueError("q_degree exceeds q_order")
-        hl = HalfLaurent(terms)
-        coeffs = [HalfLaurent() for _ in range(q_order + 1)]
-        windows = [(None, None)] * (q_order + 1)
-        coeffs[q_degree] = hl
-        if not hl.is_zero():
-            windows[q_degree] = (hl.min_exp(), None)
-        return cls(q_order, coeffs, windows)
+        rows = [HalfLaurent()] * (q_order + 1)
+        rows[q_degree] = HalfLaurent(terms)
+        return cls.exact(rows)
 
     @classmethod
     def one(cls, q_order):
@@ -267,12 +266,11 @@ class PQSeries:
 
     @classmethod
     def constant(cls, hl, q_order, window=None):
-        """A q-free series whose q^0 coefficient is hl with the given window."""
-        coeffs = [hl] + [HalfLaurent() for _ in range(q_order)]
+        """A q-free series whose q^0 coefficient is hl, exact unless a window is given."""
+        coeffs = [hl] + [HalfLaurent()] * q_order
         if window is None:
-            window = (hl.min_exp(), None) if not hl.is_zero() else (None, None)
-        windows = [window] + [(None, None)] * q_order
-        return cls(q_order, coeffs, windows)
+            return cls.exact(coeffs)
+        return cls(q_order, coeffs, [window] + [(None, None)] * q_order)
 
     # -- views and reshaping --------------------------------------------------
 
@@ -320,11 +318,7 @@ class PQSeries:
 
     def scale(self, n):
         if not n:
-            return PQSeries(
-                self.q_order,
-                [HalfLaurent() for _ in range(self.q_order + 1)],
-                [(None, None)] * (self.q_order + 1),
-            )
+            return PQSeries.exact([HalfLaurent()] * (self.q_order + 1))
         return PQSeries(self.q_order, [hl.scale(n) for hl in self.coeffs], self.windows)
 
     # -- ring structure -------------------------------------------------------
@@ -404,30 +398,43 @@ def _binary_add(a, b, sign):
     return PQSeries(q_order, coeffs, windows)
 
 
+def _convolve(pairs, hi=None):
+    """Sum of x*y over the Laurent pairs (x, y), skipping every exponent above hi."""
+    c = {}
+    for x, y in pairs:
+        for e1, v1 in x.c.items():
+            for e2, v2 in y.c.items():
+                e = e1 + e2
+                if hi is not None and e > hi:
+                    continue
+                w = c.get(e, 0) + v1 * v2
+                if w:
+                    c[e] = w
+                else:
+                    del c[e]
+    return HalfLaurent._raw(c)
+
+
+def _degree_product(a, b, d, start=0):
+    """The q^d coefficient of a*b summed over a's degrees start..d; returns (data, window).
+
+    a and b are (coeffs, windows) pairs.  The window is folded first, so no
+    term above its knowledge ceiling is ever formed.
+    """
+    (ca, wa), (cb, wb) = a, b
+    window, pairs = (None, None), []
+    for i in range(start, d + 1):
+        w = _mul_pair_window(wa[i], wb[d - i])
+        if w[0] is not None:
+            window = _add_window(window, w)
+            pairs.append((ca[i], cb[d - i]))
+    return _convolve(pairs, window[1]), window
+
+
 def _binary_mul(a, b):
     q_order = min(a.q_order, b.q_order)
-    coeffs, windows = [], []
-    for d in range(q_order + 1):
-        lo = hi = None
-        have = False
-        acc = HalfLaurent()
-        for i in range(d + 1):
-            w = _mul_pair_window(a.windows[i], b.windows[d - i])
-            if w[0] is None:
-                continue
-            if not have:
-                lo, hi, have = w[0], w[1], True
-            else:
-                lo = min(lo, w[0])
-                hi = _min_hi(hi, w[1])
-            acc = acc + a.coeffs[i] * b.coeffs[d - i]
-        if not have:
-            coeffs.append(HalfLaurent())
-            windows.append((None, None))
-        else:
-            coeffs.append(acc.clip(hi))
-            windows.append((lo, hi))
-    return PQSeries(q_order, coeffs, windows)
+    a, b = (a.coeffs, a.windows), (b.coeffs, b.windows)
+    return PQSeries(q_order, *zip(*(_degree_product(a, b, d) for d in range(q_order + 1))))
 
 
 def _invert_laurent(a0, lo0, hi0):
@@ -446,16 +453,8 @@ def _invert_laurent(a0, lo0, hi0):
         )
     hi_b = hi0 - 2 * e0
     b = {-e0: c}
-    for k in range(1, hi_b + e0 + 1):
-        s = 0
-        for j in range(1, k + 1):
-            aj = a0[e0 + j]
-            if aj:
-                bv = b.get(-e0 + k - j, 0)
-                if bv:
-                    s += aj * bv
-        if s:
-            b[-e0 + k] = -c * s
+    for k in range(1, hi_b + e0 + 1):  # a0 * b = 1 fixes each term from the lower ones
+        b[-e0 + k] = -c * sum(a0[e0 + j] * b[-e0 + k - j] for j in range(1, k + 1))
     return HalfLaurent(b), (-e0, hi_b)
 
 
@@ -465,21 +464,10 @@ def invert(a):
     coeffs = [b0]
     windows = [w0]
     for d in range(1, a.q_order + 1):
-        s = HalfLaurent()
-        ws = (None, None)
-        for k in range(1, d + 1):
-            w = _mul_pair_window(a.windows[k], windows[d - k])
-            if w[0] is None:
-                continue
-            ws = _add_window(ws, w)
-            s = s + a.coeffs[k] * coeffs[d - k]
-        if ws[0] is None:
-            coeffs.append(HalfLaurent())
-            windows.append((None, None))
-        else:
-            w = _mul_pair_window(w0, ws)
-            coeffs.append((-(b0 * s)).clip(w[1]))
-            windows.append(w)
+        s, ws = _degree_product((a.coeffs, a.windows), (coeffs, windows), d, start=1)
+        w = _mul_pair_window(w0, ws)
+        coeffs.append(-_convolve(((b0, s),), w[1]))
+        windows.append(w)
     return PQSeries(a.q_order, coeffs, windows)
 
 
@@ -650,14 +638,10 @@ def linear_factor(a, b, sign, q_order, p_window):
     if b == 0:
         base = PQSeries.constant(HalfLaurent({0: 1, e: -1}), q_order, window=(min(0, e), hi))
         return _check_holds(invert(base), lo)
-    coeffs = [HalfLaurent() for _ in range(q_order + 1)]
-    windows = [(None, None)] * (q_order + 1)
-    k = 0
-    while k * b <= q_order:
-        coeffs[k * b] = HalfLaurent({k * e: 1})
-        windows[k * b] = (k * e, None)
-        k += 1
-    return _check_holds(PQSeries(q_order, coeffs, windows), lo)
+    rows = [HalfLaurent()] * (q_order + 1)
+    for k in range(q_order // b + 1):
+        rows[k * b] = HalfLaurent({k * e: 1})
+    return _check_holds(PQSeries.exact(rows), lo)
 
 
 def macmahon(q_order, p_window, shift=1):
@@ -680,20 +664,11 @@ def macmahon(q_order, p_window, shift=1):
 def macmahon_p(q_order, p_window):
     """The q-free specialization of the box-counting product, truncated at the window top."""
     lo, hi = _validate_window(p_window)
-    data = {0: 1}
+    data = ONE
     for m in range(1, hi // 2 + 1):
-        geom = {0: 1}
-        k = 1
-        while 2 * m * k <= hi:
-            geom[2 * m * k] = math.comb(m + k - 1, k)
-            k += 1
-        new = {}
-        for e1, v1 in data.items():
-            for e2, v2 in geom.items():
-                if e1 + e2 <= hi:
-                    new[e1 + e2] = new.get(e1 + e2, 0) + v1 * v2
-        data = new
-    out = PQSeries.constant(HalfLaurent(data), q_order, window=(0, hi))
+        geom = HalfLaurent({2 * m * k: math.comb(m + k - 1, k) for k in range(hi // (2 * m) + 1)})
+        data = _convolve(((data, geom),), hi)
+    out = PQSeries.constant(data, q_order, window=(0, hi))
     return _check_holds(out, lo)
 
 
@@ -718,11 +693,3 @@ def theta(q_order, p_window):
         out = _binary_mul(out, power(linear_factor(0, k, -1, q_order, p_window), 2))
     return _check_holds(out, lo)
 
-
-def eta_with_prefactor(q_order, p_window=None):
-    """The eta product split as (prefactor exponent, series).
-
-    eta = q^(1/24) * prod_k (1 - q^k); the fractional q-power is returned as a
-    Fraction and never enters the series itself.
-    """
-    return Fraction(1, 24), euler_product(q_order, p_window)

@@ -29,6 +29,7 @@ a box (rho, sigma, tau) lies in
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -341,6 +342,7 @@ class VertexCache:
 
     def put(self, record):
         cfg = LegConfig(record.lam, record.mu, record.nu)
+        tmp = None
         try:
             os.makedirs(self.directory, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
@@ -348,7 +350,9 @@ class VertexCache:
                 json.dump(record.to_json_dict(), fh, sort_keys=True)
             os.replace(tmp, self._path(cfg.canonical_key(record.order)))
         except OSError:
-            pass
+            if tmp is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
 
 
 def tilde_vertex(cfg, order, cache=None):

@@ -283,6 +283,9 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "dt", "--p-window", "oops")
     assert code == 1
+    code, out, err = run(capsys, "dt", "--p-window", "3:1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "3:1 is empty" in err and "--p-order" not in err
     # argparse's own errors too: exit code 2 would claim a found discrepancy
     for argv in (("dt", "--q-order", "x"), ("dt", "--bogus"), ("check", "nope"), ()):
         code, out, err = run(capsys, *argv)

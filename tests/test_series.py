@@ -9,7 +9,6 @@ from ellipticdt.series import (
     PQSeries,
     WindowExhausted,
     compare,
-    eta_with_prefactor,
     euler_product,
     invert,
     linear_factor,
@@ -347,12 +346,6 @@ def test_theta_q0():
     assert t.coeffs[0].items() == [(-1, -1), (1, 1)]
     # q^1 coefficient of the product: (x - 1/x)(-p - 1/p + 2) expanded
     assert not t.coeffs[1].is_zero()
-
-
-def test_eta_prefactor():
-    pre, ser = eta_with_prefactor(4)
-    assert pre.numerator == 1 and pre.denominator == 24
-    assert compare(ser, euler_product(4)).equal
 
 
 def test_window_too_small_raises():

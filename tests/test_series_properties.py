@@ -1,0 +1,151 @@
+"""Property tests of the truncated-series products against full-precision arithmetic.
+
+Each test draws exactly-known series, truncates them at random knowledge
+windows, and checks that every coefficient a product, inverse, power or
+MacMahon expansion claims to know equals the full-precision value.  The runs
+are derandomized, so the suite stays deterministic.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from ellipticdt.series import HalfLaurent, PQSeries, invert, macmahon_p, power  # noqa: E402
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+WIDE = 80  # knowledge ceiling of the full-precision reference for inverses
+
+rows = st.dictionaries(st.integers(-4, 6), st.integers(-9, 9), max_size=5)
+
+
+@st.composite
+def exact_series(draw, q_order=None, unit=False):
+    """An exactly-known series; with unit=True its q^0 row is +-x^e0 plus higher terms."""
+    if q_order is None:
+        q_order = draw(st.integers(0, 3))
+    data = [draw(rows) for _ in range(q_order + 1)]
+    if unit:
+        e0 = draw(st.integers(-3, 2))
+        data[0] = {e: v for e, v in data[0].items() if e > e0}
+        data[0][e0] = draw(st.sampled_from((1, -1)))
+    return PQSeries.exact(HalfLaurent(r) for r in data)
+
+
+@st.composite
+def truncated(draw, exact, unit=False):
+    """exact with a random window at each degree: a floor at or below its
+    support and a ceiling (or none) at or above that floor.  With unit=True
+    the q^0 row keeps its exact floor and gets a finite ceiling, as invert needs."""
+    coeffs, windows = [], []
+    for d, hl in enumerate(exact.coeffs):
+        if hl.is_zero() and not (unit and d == 0) and draw(st.booleans()):
+            coeffs.append(hl)
+            windows.append((None, None))
+            continue
+        floor = 6 if hl.is_zero() else hl.min_exp()
+        lo = floor if unit and d == 0 else draw(st.integers(-6, floor))
+        ceiling = st.integers(lo, 12)
+        hi = draw(ceiling if unit and d == 0 else st.none() | ceiling)
+        coeffs.append(hl.clip(hi))
+        windows.append((lo, hi))
+    return PQSeries(exact.q_order, coeffs, windows)
+
+
+def naive_mul(a, b):
+    """Full-precision product of exactly-known series, one term pair at a time."""
+    q_order = min(a.q_order, b.q_order)
+    out = [{} for _ in range(q_order + 1)]
+    for i in range(q_order + 1):
+        for j in range(q_order + 1 - i):
+            for e1, v1 in a.coeffs[i].items():
+                for e2, v2 in b.coeffs[j].items():
+                    out[i + j][e1 + e2] = out[i + j].get(e1 + e2, 0) + v1 * v2
+    return PQSeries.exact(HalfLaurent(r) for r in out)
+
+
+def plane_partitions(n_max):
+    """Plane-partition counts from the divisor-sum recurrence n a(n) = sum sigma_2(k) a(n-k)."""
+    sigma2 = [0] + [sum(j * j for j in range(1, k + 1) if k % j == 0) for k in range(1, n_max + 1)]
+    a = [1]
+    for n in range(1, n_max + 1):
+        a.append(sum(sigma2[k] * a[n - k] for k in range(1, n + 1)) // n)
+    return a
+
+
+PLANE = plane_partitions(WIDE // 2)
+
+
+def assert_agrees(got, truth):
+    """Every window claim of `got` holds for `truth`, which must know at least as much.
+
+    A degree claimed zero is zero in truth; otherwise truth has no support
+    below the claimed floor, and equals got at every exponent up to the
+    claimed ceiling (up to truth's own ceiling when got claims none).
+    """
+    assert got.q_order <= truth.q_order
+    for d in range(got.q_order + 1):
+        (lo, hi), (_, thi) = got.windows[d], truth.windows[d]
+        known = [e for e in truth.coeffs[d].c if thi is None or e <= thi]
+        if lo is None:
+            assert not known, (d, truth.coeffs[d])
+            continue
+        assert all(e >= lo for e in known), (d, lo, truth.coeffs[d])
+        if hi is None:
+            top = thi if thi is not None else max([lo] + known + list(got.coeffs[d].c))
+        else:
+            assert thi is None or thi >= hi, (d, hi, thi)
+            top = hi
+        for e in range(lo, top + 1):
+            assert got.coeffs[d][e] == truth.coeffs[d][e], (d, e)
+
+
+def wide(exact):
+    """The full-precision stand-in for an inverse: exact data known up to x^WIDE."""
+    return exact.with_p_hi(WIDE)
+
+
+@PROPERTY
+@given(st.data())
+def test_product_claims_hold(data):
+    a_exact, b_exact = data.draw(exact_series()), data.draw(exact_series())
+    a, b = data.draw(truncated(a_exact)), data.draw(truncated(b_exact))
+    assert_agrees(a * b, naive_mul(a_exact, b_exact))
+
+
+@PROPERTY
+@given(st.data())
+def test_invert_claims_hold(data):
+    exact = data.draw(exact_series(unit=True))
+    got = invert(data.draw(truncated(exact, unit=True)))
+    truth = invert(wide(exact))
+    assert_agrees(got, truth)
+    prod = naive_mul(exact, truth)  # the reference is an inverse well past any claim above
+    for d in range(exact.q_order + 1):
+        assert all(prod.coeffs[d][e] == (d == 0 and e == 0) for e in range(-20, WIDE // 2))
+
+
+@PROPERTY
+@given(st.data(), st.integers(-3, 4))
+def test_power_claims_hold(data, k):
+    exact = data.draw(exact_series(unit=k < 0))
+    got = power(data.draw(truncated(exact, unit=k < 0)), k)
+    if k < 0:
+        truth = power(invert(wide(exact)), -k)
+    else:
+        truth = PQSeries.one(exact.q_order)
+        for _ in range(k):
+            truth = naive_mul(truth, exact)
+    assert_agrees(got, truth)
+
+
+@PROPERTY
+@given(st.integers(0, 3), st.integers(-6, 0), st.integers(0, 40))
+def test_macmahon_p_claims_hold(q_order, lo, hi):
+    got = macmahon_p(q_order, (lo, hi))
+    truth = PQSeries.exact(
+        [HalfLaurent({2 * n: c for n, c in enumerate(PLANE)})] + [HalfLaurent()] * q_order
+    ).with_p_hi(WIDE)
+    assert got.windows[0] == (0, hi)
+    assert_agrees(got, truth)

@@ -291,6 +291,16 @@ def test_cache_corruption_is_a_miss(tmp_path):
     assert tilde_vertex(cfg, 4, cache) == rec1
 
 
+def test_failed_cache_write_leaves_no_temp_file(tmp_path):
+    cache = VertexCache(tmp_path)
+    cfg = legs((1,), (), ())
+    os.mkdir(cache._path(cfg.canonical_key(3)))  # the rename onto a directory fails
+    rec = tilde_vertex(cfg, 3, cache)
+    assert rec.counts[0] == 1
+    assert sorted(os.listdir(str(tmp_path))) == ["1___3.json"]
+    assert cache.get(cfg, 3) is None
+
+
 def _rewrite_record(cache, cfg, order, changes):
     path = cache._path(cfg.canonical_key(order))
     with open(path) as fh:
