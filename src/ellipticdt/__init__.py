@@ -12,11 +12,7 @@ from .partitions import (
     BOX,
     EMPTY,
     Partition,
-    PartitionStats,
-    comb_ideal_generators,
     enumerate_partitions,
-    monomial_generators_2d,
-    partition_stats,
 )
 from .series import (
     HalfLaurent,
@@ -53,7 +49,6 @@ from .dtseries import (
     connected,
     dt_fib,
     dt_hat,
-    f_d,
     f_d_compare,
     f_d_series,
     g_of,

@@ -234,7 +234,7 @@ def _cmd_kkv(ns, out):
     """The connected comparison of the K3 case plus its q^0 term p/(1-p)^2."""
     surf = dtseries.SurfaceData(ns.eB, ns.eS)
     ser = dtseries.connected(surf, ns.q_order, ns.p_order, "jacobi", ns.p_window, _cache(ns))
-    q0 = ser.coefficient(0)
+    q0 = ser.coeffs[0]
     hi = min(ser.windows[0][1], 2 * ns.p_order)
     ok = all(q0[e] == (e // 2 if e % 2 == 0 and e >= 2 else 0) for e in range(ser.windows[0][0], hi + 1))
     status = _cmd_compare(ns, out, "connected", {"jacobi": ser}, kkv_q0_specialization=ok)
@@ -333,6 +333,8 @@ def _symprod_results(q_order, exponents, seed, random_tables):
 
 
 def _cmd_symprod(ns, out):
+    if ns.random_tables < 0:
+        raise UsageError("--random must be nonnegative")
     exponents = [ns.exponent] if ns.exponent is not None else range(-3, 4)
     results = [
         (name, ok, "")
@@ -434,6 +436,9 @@ def suite(q_order, p_order, p_window, cache, seed, random_tables):
 
 
 def _cmd_check(ns, out):
+    if ns.random_tables < 1:
+        # with no table checked, symprod-random would pass vacuously
+        raise UsageError("--random must be positive")
     results = list(
         suite(ns.q_order, ns.p_order, ns.p_window, _cache(ns), ns.seed, ns.random_tables)
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
@@ -71,18 +72,12 @@ class PointConfig:
         return sum(self.a) + sum(self.b)
 
 
+@dataclass(frozen=True)
 class _Tilde:
     """Normalized-vertex values as q-free series with window [0, 2*order]."""
 
-    def __init__(self, order, cache=None):
-        self.order = order
-        self.cache = cache
-
-    def __eq__(self, other):
-        return isinstance(other, _Tilde) and (self.order, self.cache) == (other.order, other.cache)
-
-    def __hash__(self):
-        return hash((self.order, self.cache))
+    order: int
+    cache: object  # a VertexCache or None
 
     def __call__(self, lam, mu, nu):
         return tilde_vertex(LegConfig(lam, mu, nu), self.order, self.cache).series()
@@ -237,11 +232,6 @@ def _strata_prefactor(x, y, eB, t):
     """V~(empty)^x * V~(box)^y * p^(eB/2), eB/2 being the Euler characteristic of the base."""
     out = power(t(EMPTY, EMPTY, EMPTY), x) * power(t(BOX, EMPTY, EMPTY), y)
     return out.shift_p(eB)
-
-
-def f_d(config, surf, order, mode="factored", cache=None):
-    """The pushforward weight as a Laurent polynomial in p (see f_d_series)."""
-    return f_d_series(config, surf, order, mode, cache).coeffs[0]
 
 
 def f_d_compare(config, surf, order, cache=None):
@@ -406,20 +396,8 @@ def symprod_check(g_table, e, q_order):
     for d in range(1, q_order + 1):
         acc = HalfLaurent()
         for lam in enumerate_partitions(d):
-            mults = {}
-            for part in lam.parts:
-                mults[part] = mults.get(part, 0) + 1
-            prod = HalfLaurent({0: 1})
-            ok = True
-            for j, m in mults.items():
-                gj = table.get(j)
-                if gj is None or gj.is_zero():
-                    ok = False
-                    break
-                prod = prod * gj.power(m)
-            if not ok:
-                continue
-            coeff = _generalized_multinomial(e, list(mults.values()))
+            prod = reduce(operator.mul, (table.get(j, HalfLaurent()) for j in lam.parts))
+            coeff = _generalized_multinomial(e, Counter(lam.parts).values())
             acc = acc + prod.scale(coeff)
         lhs_rows.append(acc)
     lhs = PQSeries.exact(lhs_rows)

@@ -1,4 +1,4 @@
-"""Integer partitions, Young diagrams, and their monomial-ideal data.
+"""Integer partitions and their Young diagrams.
 
 Diagram convention, fixed once for the whole package: a cell (rho, sigma)
 belongs to the partition lam iff rho < lam[sigma], i.e. rows are indexed by
@@ -8,7 +8,6 @@ convention through Partition.contains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -98,26 +97,6 @@ EMPTY = Partition()
 BOX = Partition((1,))
 
 
-@dataclass(frozen=True)
-class PartitionStats:
-    size: int
-    first_part: int
-    norm_sq: int
-    conjugate: Partition
-    length: int
-
-
-def partition_stats(lam):
-    """Size, first part, sum of squared parts, conjugate, and length of lam."""
-    return PartitionStats(
-        size=lam.size(),
-        first_part=lam.first_part(),
-        norm_sq=lam.norm_sq(),
-        conjugate=lam.conjugate(),
-        length=lam.length(),
-    )
-
-
 @lru_cache(maxsize=None)
 def _partition_tuples(n):
     # Descending (reverse-lexicographic) generation: each step decrements the
@@ -147,32 +126,3 @@ def enumerate_partitions(n):
     if n < 0:
         raise ValueError("n must be nonnegative")
     return [Partition(t) for t in _partition_tuples(n)]
-
-
-def monomial_generators_2d(lam):
-    """Generator exponents (rho, sigma) of the plane ideal attached to lam.
-
-    The list is (lam_1, 0), (lam_2, 1), ..., (lam_l, l-1), (0, l); the cells
-    outside the diagram are exactly the monomials the list generates.  The
-    empty partition gives the unit ideal.
-    """
-    l = lam.length()
-    if l == 0:
-        return [(0, 0)]
-    gens = [(lam.parts[i], i) for i in range(l)]
-    gens.append((0, l))
-    return gens
-
-
-def comb_ideal_generators(lam):
-    """Generator exponents (rho, sigma, tau) for a fiber thickened by lam along a section.
-
-    The tau component is 1 for the first generator and 0 for all others.
-    """
-    l = lam.length()
-    if l == 0:
-        raise ValueError("the empty partition has no comb thickening")
-    gens = [(lam.parts[0], 0, 1)]
-    gens.extend((lam.parts[i], i, 0) for i in range(1, l))
-    gens.append((0, l, 0))
-    return gens

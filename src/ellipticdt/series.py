@@ -101,14 +101,7 @@ class HalfLaurent:
         return HalfLaurent._raw(c)
 
     def __sub__(self, other):
-        c = dict(self.c)
-        for e, v in other.c.items():
-            w = c.get(e, 0) - v
-            if w:
-                c[e] = w
-            else:
-                c.pop(e, None)
-        return HalfLaurent._raw(c)
+        return self + -other
 
     def __neg__(self):
         return HalfLaurent._raw({e: -v for e, v in self.c.items()})
@@ -130,18 +123,6 @@ class HalfLaurent:
         if hi is None:
             return self
         return HalfLaurent._raw({e: v for e, v in self.c.items() if e <= hi})
-
-    def power(self, k):
-        if k < 0:
-            raise ValueError("HalfLaurent.power needs k >= 0")
-        out = HalfLaurent({0: 1})
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __eq__(self, other):
         return isinstance(other, HalfLaurent) and self.c == other.c
@@ -274,9 +255,6 @@ class PQSeries:
 
     # -- views and reshaping --------------------------------------------------
 
-    def coefficient(self, d):
-        return self.coeffs[d]
-
     def p_window(self):
         """Aggregate (lo, hi): the support floor and the weakest knowledge ceiling."""
         los = [lo for lo, _ in self.windows if lo is not None]
@@ -324,10 +302,10 @@ class PQSeries:
     # -- ring structure -------------------------------------------------------
 
     def __add__(self, other):
-        return _binary_add(self, other, +1)
+        return _binary_add(self, other)
 
     def __sub__(self, other):
-        return _binary_add(self, other, -1)
+        return _binary_add(self, other.scale(-1))
 
     def __mul__(self, other):
         return _binary_mul(self, other)
@@ -387,12 +365,12 @@ class PQSeries:
 # Ring operations
 
 
-def _binary_add(a, b, sign):
+def _binary_add(a, b):
     q_order = min(a.q_order, b.q_order)
     coeffs, windows = [], []
     for d in range(q_order + 1):
         w = _add_window(a.windows[d], b.windows[d])
-        hl = a.coeffs[d] + b.coeffs[d] if sign > 0 else a.coeffs[d] - b.coeffs[d]
+        hl = a.coeffs[d] + b.coeffs[d]
         coeffs.append(hl.clip(w[1]) if w[0] is not None else hl)
         windows.append(w)
     return PQSeries(q_order, coeffs, windows)
@@ -557,6 +535,8 @@ def compare(a, b, q_order=None, p_lo=None, p_hi=None):
         q_order = min(a.q_order, b.q_order)
     if q_order > min(a.q_order, b.q_order):
         raise WindowExhausted("comparison to q^%d exceeds the known q-order" % q_order)
+    if p_lo is not None and p_hi is not None and p_hi < p_lo:
+        raise WindowExhausted("empty comparison window [%s, %s]" % (p_lo, p_hi))
     regions = []
     for d in range(q_order + 1):
         (la, ha), (lb, hb) = a.windows[d], b.windows[d]

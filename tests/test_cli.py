@@ -20,6 +20,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_public_names_are_pinned():
+    # adding or removing a public name takes a deliberate edit here
+    assert sorted(ellipticdt.__all__) == [
+        "BOX", "CombCurveDescriptor", "EMPTY", "EulerData", "F1F2", "HaimanArrow",
+        "HalfLaurent", "LegConfig", "NotInvertible", "PQSeries", "Partition",
+        "PointConfig", "SeriesComparison", "SeriesError", "SurfaceData", "VertexCache",
+        "VertexRecord", "WindowExhausted", "behrend_sign", "behrend_transform", "chi_OC",
+        "comb_fiber_arrow_classes", "compare", "connected", "deform", "dt_fib", "dt_hat",
+        "dtseries", "enumerate_partitions", "euler_data", "euler_product", "f_d_compare",
+        "f_d_series", "g_of", "h_of", "haiman_basis_2d", "identity_a", "identity_b",
+        "identity_c", "invert", "linear_factor", "macmahon", "macmahon_p",
+        "minimal_element_count", "minimal_volume", "partitions", "power", "series",
+        "substitute_neg_p", "symprod_check", "tangent_dim", "theta", "tilde_vertex",
+        "vertex", "vl_tangent_basis",
+    ]
+
+
 def test_vertex_json_contract(capsys):
     code, out, _ = run(
         capsys, "vertex", "--legs", "2,1;;", "--p-order", "6", "--format", "json"
@@ -286,6 +303,15 @@ def test_usage_errors(capsys):
     code, out, err = run(capsys, "dt", "--p-window", "3:1")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "3:1 is empty" in err and "--p-order" not in err
+    # a run that checks no random table must not report symprod-random as passing
+    for argv in (
+        ("check", "all", "--random", "0"),
+        ("check", "all", "--random", "-1"),
+        ("symprod-check", "--random", "-3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and "--random" in err, argv
     # argparse's own errors too: exit code 2 would claim a found discrepancy
     for argv in (("dt", "--q-order", "x"), ("dt", "--bogus"), ("check", "nope"), ()):
         code, out, err = run(capsys, *argv)

@@ -12,7 +12,6 @@ from ellipticdt.dtseries import (
     connected,
     dt_fib,
     dt_hat,
-    f_d,
     f_d_compare,
     f_d_series,
     g_of,
@@ -136,11 +135,11 @@ def test_f_d_cross_mode_and_symmetry():
     surf = SurfaceData(2, 12)
     rep = f_d_compare(PointConfig((1, 1), (1,)), surf, 8)
     assert rep.equal
-    a = f_d(PointConfig((2, 1), (1,)), surf, 8)
-    b = f_d(PointConfig((1, 2), (1,)), surf, 8)
+    a = f_d_series(PointConfig((2, 1), (1,)), surf, 8).coeffs[0]
+    b = f_d_series(PointConfig((1, 2), (1,)), surf, 8).coeffs[0]
     assert a == b
-    a = f_d(PointConfig((1,), (2, 1, 1)), surf, 8, "strata")
-    b = f_d(PointConfig((1,), (1, 2, 1)), surf, 8, "strata")
+    a = f_d_series(PointConfig((1,), (2, 1, 1)), surf, 8, "strata").coeffs[0]
+    b = f_d_series(PointConfig((1,), (1, 2, 1)), surf, 8, "strata").coeffs[0]
     assert a == b
 
 
@@ -269,6 +268,19 @@ def test_symprod_randomized():
             )
         for e in range(-3, 4):
             assert symprod_check(table, e, 4).equal
+
+
+def test_symprod_zero_and_missing_weights():
+    # g(2) is an explicit zero and g(3) is missing: both weigh every partition
+    # with such a part by zero, so the check matches the table without g(2)
+    g1, g4 = HalfLaurent({-2: 3, 0: 1}), HalfLaurent({0: -2, 4: 5})
+    with_zero = {1: g1, 2: HalfLaurent(), 4: g4}
+    without = {1: g1, 4: g4}
+    for e in range(-3, 4):
+        rep, ref = symprod_check(with_zero, e, 5), symprod_check(without, e, 5)
+        assert rep.equal and ref.equal, e
+        assert rep.side_a == ref.side_a and rep.side_b == ref.side_b, e
+        assert rep.side_a.coeffs[2] == (g1 * g1).scale(e * (e - 1) // 2), e
 
 
 def test_dt_hat_third_route_via_multinomial_sums():

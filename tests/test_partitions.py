@@ -3,10 +3,7 @@ import pytest
 from ellipticdt.partitions import (
     EMPTY,
     Partition,
-    comb_ideal_generators,
     enumerate_partitions,
-    monomial_generators_2d,
-    partition_stats,
 )
 
 
@@ -71,15 +68,14 @@ def test_counts_match_generating_function():
 
 
 def test_stats_examples():
-    s = partition_stats(Partition([3, 1]))
-    assert (s.size, s.first_part, s.norm_sq, s.length) == (4, 3, 10, 2)
-    assert s.conjugate == Partition([2, 1, 1])
-    s = partition_stats(EMPTY)
-    assert (s.size, s.first_part, s.norm_sq, s.length) == (0, 0, 0, 0)
-    assert s.conjugate == EMPTY
-    s = partition_stats(Partition([2, 1]))
-    assert (s.size, s.norm_sq) == (3, 5)
-    assert s.conjugate == Partition([2, 1])
+    lam = Partition([3, 1])
+    assert (lam.size(), lam.first_part(), lam.norm_sq(), lam.length()) == (4, 3, 10, 2)
+    assert lam.conjugate() == Partition([2, 1, 1])
+    assert (EMPTY.size(), EMPTY.first_part(), EMPTY.norm_sq(), EMPTY.length()) == (0, 0, 0, 0)
+    assert EMPTY.conjugate() == EMPTY
+    lam = Partition([2, 1])
+    assert (lam.size(), lam.norm_sq()) == (3, 5)
+    assert lam.conjugate() == Partition([2, 1])
 
 
 def test_conjugate_involution_and_norms():
@@ -103,51 +99,3 @@ def test_diagram_membership():
         for sigma in range(4):
             assert lam.contains(rho, sigma) == ((rho, sigma) in cells)
     assert set(lam.cells()) == cells
-
-
-def test_monomial_generators_examples():
-    assert monomial_generators_2d(Partition([2, 1])) == [(2, 0), (1, 1), (0, 2)]
-    assert monomial_generators_2d(EMPTY) == [(0, 0)]
-    assert monomial_generators_2d(Partition([3, 3])) == [(3, 0), (3, 1), (0, 2)]
-
-
-def in_ideal(gens, rho, sigma):
-    return any(rho >= g and sigma >= s for g, s in gens)
-
-
-def test_monomial_ideal_matches_diagram():
-    # standard monomials of the generated ideal are exactly the diagram cells
-    for n in range(9):
-        for lam in enumerate_partitions(n):
-            gens = monomial_generators_2d(lam)
-            count = 0
-            bound = lam.first_part() + 2
-            height = lam.length() + 2
-            for rho in range(bound):
-                for sigma in range(height):
-                    inside = not in_ideal(gens, rho, sigma)
-                    assert inside == lam.contains(rho, sigma)
-                    if inside:
-                        count += 1
-            assert count == lam.size()
-
-
-def test_comb_ideal_generators():
-    assert comb_ideal_generators(Partition([2, 1])) == [(2, 0, 1), (1, 1, 0), (0, 2, 0)]
-    assert comb_ideal_generators(Partition([1])) == [(1, 0, 1), (0, 1, 0)]
-    assert comb_ideal_generators(Partition([3, 3, 1])) == [
-        (3, 0, 1),
-        (3, 1, 0),
-        (1, 2, 0),
-        (0, 3, 0),
-    ]
-    with pytest.raises(ValueError):
-        comb_ideal_generators(EMPTY)
-
-
-def test_comb_generators_tau_components():
-    for n in range(1, 8):
-        for lam in enumerate_partitions(n):
-            gens = comb_ideal_generators(lam)
-            assert gens[0][2] == 1
-            assert all(g[2] == 0 for g in gens[1:])

@@ -1,9 +1,11 @@
-"""Property tests of the truncated-series products against full-precision arithmetic.
+"""Property tests of the truncated-series operations against full-precision arithmetic.
 
 Each test draws exactly-known series, truncates them at random knowledge
-windows, and checks that every coefficient a product, inverse, power or
-MacMahon expansion claims to know equals the full-precision value.  The runs
-are derandomized, so the suite stays deterministic.
+windows, and checks that every coefficient a sum, difference, product,
+inverse, power, MacMahon expansion, truncation, shift or p -> -p substitution
+claims to know equals the full-precision value, and that a comparison reports
+equality only on nonempty regions where the full-precision values agree.  The
+runs are derandomized, so the suite stays deterministic.
 """
 
 import pytest
@@ -12,7 +14,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ellipticdt.series import HalfLaurent, PQSeries, invert, macmahon_p, power  # noqa: E402
+from ellipticdt.series import (  # noqa: E402
+    HalfLaurent,
+    PQSeries,
+    WindowExhausted,
+    compare,
+    invert,
+    macmahon_p,
+    power,
+    substitute_neg_p,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 WIDE = 80  # knowledge ceiling of the full-precision reference for inverses
@@ -21,11 +32,14 @@ rows = st.dictionaries(st.integers(-4, 6), st.integers(-9, 9), max_size=5)
 
 
 @st.composite
-def exact_series(draw, q_order=None, unit=False):
-    """An exactly-known series; with unit=True its q^0 row is +-x^e0 plus higher terms."""
+def exact_series(draw, q_order=None, unit=False, step=1):
+    """An exactly-known series; with unit=True its q^0 row is +-x^e0 plus higher terms.
+
+    Every exponent is a multiple of step (step=2 keeps to integer powers of p).
+    """
     if q_order is None:
         q_order = draw(st.integers(0, 3))
-    data = [draw(rows) for _ in range(q_order + 1)]
+    data = [{step * e: v for e, v in draw(rows).items()} for _ in range(q_order + 1)]
     if unit:
         e0 = draw(st.integers(-3, 2))
         data[0] = {e: v for e, v in data[0].items() if e > e0}
@@ -45,7 +59,7 @@ def truncated(draw, exact, unit=False):
             windows.append((None, None))
             continue
         floor = 6 if hl.is_zero() else hl.min_exp()
-        lo = floor if unit and d == 0 else draw(st.integers(-6, floor))
+        lo = floor if unit and d == 0 else draw(st.integers(min(-6, floor), floor))
         ceiling = st.integers(lo, 12)
         hi = draw(ceiling if unit and d == 0 else st.none() | ceiling)
         coeffs.append(hl.clip(hi))
@@ -63,6 +77,17 @@ def naive_mul(a, b):
                 for e2, v2 in b.coeffs[j].items():
                     out[i + j][e1 + e2] = out[i + j].get(e1 + e2, 0) + v1 * v2
     return PQSeries.exact(HalfLaurent(r) for r in out)
+
+
+def naive_add(a, b, sign=1):
+    """Full-precision a + sign*b of exactly-known series, row by row."""
+    out = []
+    for d in range(min(a.q_order, b.q_order) + 1):
+        row = dict(a.coeffs[d].c)
+        for e, v in b.coeffs[d].items():
+            row[e] = row.get(e, 0) + sign * v
+        out.append(HalfLaurent(row))
+    return PQSeries.exact(out)
 
 
 def plane_partitions(n_max):
@@ -149,3 +174,75 @@ def test_macmahon_p_claims_hold(q_order, lo, hi):
     ).with_p_hi(WIDE)
     assert got.windows[0] == (0, hi)
     assert_agrees(got, truth)
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from((1, -1)))
+def test_sum_and_difference_claims_hold(data, sign):
+    a_exact, b_exact = data.draw(exact_series()), data.draw(exact_series())
+    a, b = data.draw(truncated(a_exact)), data.draw(truncated(b_exact))
+    assert_agrees(a + b if sign > 0 else a - b, naive_add(a_exact, b_exact, sign))
+
+
+@PROPERTY
+@given(st.data(), st.integers(-8, 14))
+def test_with_p_hi_claims_hold(data, hi):
+    exact = data.draw(exact_series())
+    a = data.draw(truncated(exact))
+    try:
+        got = a.with_p_hi(hi)
+    except WindowExhausted:
+        assert any(lo is not None and lo > hi for lo, _ in a.windows)
+        return
+    assert all(h is not None and h <= hi for lo, h in got.windows if lo is not None)
+    assert_agrees(got, exact)
+
+
+@PROPERTY
+@given(st.data(), st.integers(-7, 7))
+def test_shift_p_claims_hold(data, k):
+    exact = data.draw(exact_series())
+    got = data.draw(truncated(exact)).shift_p(k)
+    assert_agrees(got, PQSeries.exact(hl.shift(k) for hl in exact.coeffs))
+
+
+@PROPERTY
+@given(st.data())
+def test_substitute_neg_p_claims_hold(data):
+    exact = data.draw(exact_series(step=2))
+    got = substitute_neg_p(data.draw(truncated(exact)))
+    truth = PQSeries.exact(
+        HalfLaurent({e: (-1) ** (e // 2) * v for e, v in hl.items()}) for hl in exact.coeffs
+    )
+    assert_agrees(got, truth)
+
+
+@PROPERTY
+@given(st.data())
+def test_compare_reports_equality_only_where_the_sides_agree(data):
+    if data.draw(st.booleans()):
+        a_exact = data.draw(exact_series())
+    else:  # zero rows may be claimed zero, which leaves only a requested region
+        a_exact = PQSeries.exact([HalfLaurent()] * (data.draw(st.integers(0, 3)) + 1))
+    b_exact = a_exact
+    if data.draw(st.booleans()):  # perturb one coefficient
+        d = data.draw(st.integers(0, a_exact.q_order))
+        bump = PQSeries.from_terms([(data.draw(st.integers(-6, 12)), 1)], a_exact.q_order, d)
+        b_exact = a_exact + bump
+    a, b = data.draw(truncated(a_exact)), data.draw(truncated(b_exact))
+    p_lo, p_hi = data.draw(st.none() | st.integers(-8, 12)), data.draw(st.none() | st.integers(-8, 12))
+    try:
+        rep = compare(a, b, p_lo=p_lo, p_hi=p_hi)
+    except WindowExhausted:
+        return
+    agree = True
+    for d, (lo, hi) in enumerate(rep.regions):
+        ca, cb = a_exact.coeffs[d], b_exact.coeffs[d]
+        if lo is None:  # both sides known to vanish at this degree
+            assert hi is None and a.windows[d][0] is None and b.windows[d][0] is None
+            assert ca.is_zero() and cb.is_zero()
+            continue
+        assert hi is None or lo <= hi, (d, lo, hi)
+        top = hi if hi is not None else max([lo] + list(ca.c) + list(cb.c))
+        agree = agree and all(ca[e] == cb[e] for e in range(lo, top + 1))
+    assert rep.equal == agree
