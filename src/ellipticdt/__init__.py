@@ -8,6 +8,8 @@ coefficient at user-chosen truncation orders.  Deformation dimensions and
 parity signs for the thickened comb curves come with their arrow bases.
 """
 
+from types import ModuleType as _ModuleType
+
 from .partitions import (
     BOX,
     EMPTY,
@@ -71,5 +73,5 @@ from .deform import (
     vl_tangent_basis,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]
 __version__ = "0.1.0"

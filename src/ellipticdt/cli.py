@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -100,55 +101,52 @@ def _cache(ns):
     return VertexCache(path) if path else None
 
 
-def _emit_json(payload, out):
-    out.write(json.dumps(payload, sort_keys=True, indent=2))
-    out.write("\n")
+def _emit(fmt, out, payload, rows, lines):
+    """Write one command's output: the JSON payload, the CSV rows (header
+    first) or the pretty lines."""
+    if fmt == "json":
+        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    elif fmt == "csv":
+        csv.writer(out, lineterminator="\n").writerows(rows)
+    else:
+        out.writelines(line + "\n" for line in lines)
 
 
-def _emit_series_csv(series, out):
-    out.write("d,exp_half,coefficient\n")
+def _series_rows(series):
+    yield "d", "exp_half", "coefficient"
     for d, hl in enumerate(series.coeffs):
         for e, v in hl.items():
-            out.write("%d,%d,%s\n" % (d, e, v))
+            yield d, e, v
 
 
-def _emit_comparison_csv(report, out):
-    out.write("d,exp_half,lhs,rhs\n")
-    for d in range(report.q_order + 1):
-        ca, cb = report.side_a.coeffs[d], report.side_b.coeffs[d]
-        for e in sorted(set(ca.c) | set(cb.c)):
-            out.write("%d,%d,%s,%s\n" % (d, e, ca[e], cb[e]))
-
-
-def _verdict_lines(report, out):
-    out.write("%6s %10s %16s %16s\n" % ("q", "p(half)", "side_a", "side_b"))
+def _coefficient_pairs(report, in_region=False):
+    """(d, exp_half, lhs, rhs) at each exponent either side stores, or only
+    at those inside the compared region."""
     for d in range(report.q_order + 1):
         lo, hi = report.regions[d]
         ca, cb = report.side_a.coeffs[d], report.side_b.coeffs[d]
         for e in sorted(set(ca.c) | set(cb.c)):
-            if lo is not None and e < lo:
-                continue
-            if hi is not None and e > hi:
-                continue
-            out.write("%6d %10d %16s %16s\n" % (d, e, ca[e], cb[e]))
+            if not in_region or ((lo is None or lo <= e) and (hi is None or e <= hi)):
+                yield d, e, ca[e], cb[e]
+
+
+def _verdict_lines(report):
+    yield "%6s %10s %16s %16s" % ("q", "p(half)", "side_a", "side_b")
+    for row in _coefficient_pairs(report, in_region=True):
+        yield "%6d %10d %16s %16s" % row
     lo, hi = report.window()
     if report.equal:
-        out.write("EQUAL on window [%d, %d] (half-units) to q^%d\n" % (lo, hi, report.q_order))
-        return
-    d, e, lhs, rhs = report.first_discrepancy
-    out.write(
-        "DISCREPANCY at q^%d p-exponent %d/2: lhs=%s rhs=%s\n" % (d, e, lhs, rhs)
-    )
-
-
-def _emit_report(report, fmt, out, **extra):
-    """Write one comparison in fmt, JSON with the extra keys; return the exit code."""
-    if fmt == "json":
-        _emit_json(dict(report.to_json_dict(), **extra), out)
-    elif fmt == "csv":
-        _emit_comparison_csv(report, out)
+        yield "EQUAL on window [%d, %d] (half-units) to q^%d" % (lo, hi, report.q_order)
     else:
-        _verdict_lines(report, out)
+        yield "DISCREPANCY at q^%d p-exponent %d/2: lhs=%s rhs=%s" % report.first_discrepancy
+
+
+def _emit_report(report, fmt, out, head=(), tail=(), **extra):
+    """Write one comparison in fmt, JSON with the extra keys, the pretty table
+    between the head and tail lines; return the exit code."""
+    rows = itertools.chain([("d", "exp_half", "lhs", "rhs")], _coefficient_pairs(report))
+    lines = itertools.chain(head, _verdict_lines(report), tail)
+    _emit(fmt, out, dict(report.to_json_dict(), **extra), rows, lines)
     return 0 if report.equal else 2
 
 
@@ -158,18 +156,11 @@ def _emit_results(results, fmt, payload, out):
     pretty prints one PASS/FAIL line per check, csv one check,equal,detail
     row, json the payload the calling command built from the same results.
     """
-    if fmt == "json":
-        _emit_json(payload, out)
-    elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("check", "equal", "detail"))
-        writer.writerows(results)
-    else:
-        for name, ok, detail in results:
-            line = "%s %s" % ("PASS" if ok else "FAIL", name)
-            if detail:
-                line += "  [%s]" % detail
-            out.write(line + "\n")
+    lines = (
+        "%s %s" % ("PASS" if ok else "FAIL", name) + ("  [%s]" % detail if detail else "")
+        for name, ok, detail in results
+    )
+    _emit(fmt, out, payload, [("check", "equal", "detail")] + results, lines)
     return 0 if all(ok for _, ok, _ in results) else 2
 
 
@@ -187,26 +178,22 @@ def _cmd_vertex(ns, out):
             "candidate poset has %d boxes\n" % (ns.p_order, leg.total_size(), boxes)
         )
     rec = tilde_vertex(leg, ns.p_order, _cache(ns))
-    if ns.format == "json":
-        payload = rec.to_json_dict()
-        payload["key"] = leg.canonical_key(ns.p_order)
-        _emit_json(payload, out)
-    elif ns.format == "csv":
-        out.write("n,count\n")
-        for n, c in enumerate(rec.counts):
-            out.write("%d,%s\n" % (n, c))
-    else:
-        out.write("legs: %s | %s | %s\n" % (lam.to_string() or "-", mu.to_string() or "-", nu.to_string() or "-"))
-        out.write("normalized counts to p^%d: %s\n" % (ns.p_order, ", ".join(str(c) for c in rec.counts)))
-        out.write("minimal volume: %d (usual vertex = p^%d * normalized)\n" % (rec.min_volume, rec.min_volume))
+    lines = (
+        "legs: %s | %s | %s" % (lam.to_string() or "-", mu.to_string() or "-", nu.to_string() or "-"),
+        "normalized counts to p^%d: %s" % (ns.p_order, ", ".join(str(c) for c in rec.counts)),
+        "minimal volume: %d (usual vertex = p^%d * normalized)" % (rec.min_volume, rec.min_volume),
+    )
+    payload = dict(rec.to_json_dict(), key=leg.canonical_key(ns.p_order))
+    _emit(ns.format, out, payload, [("n", "count")] + list(enumerate(rec.counts)), lines)
     return 0
 
 
-def _cmd_compare(ns, out, command=None, built=None, **extra):
+def _cmd_compare(ns, out, command=None, built=None, tail=(), **extra):
     """One side of a COMPARISONS command, or both sides compared.
 
     command defaults to ns.command; built maps a side already built by the
-    caller to its series; extra keys go into the JSON report.
+    caller to its series; tail lines end the pretty output; extra keys go
+    into the JSON report.
     """
     fn_name, sides = COMPARISONS[command or ns.command]
     surf = dtseries.SurfaceData(ns.eB, ns.eS)
@@ -219,14 +206,9 @@ def _cmd_compare(ns, out, command=None, built=None, **extra):
 
     if ns.side == "both":
         a, b = map(build, sides)
-        return _emit_report(compare(a, b), ns.format, out, **extra)
+        return _emit_report(compare(a, b), ns.format, out, tail=tail, **extra)
     series = build(ns.side)
-    if ns.format == "json":
-        _emit_json(series.to_json_dict(), out)
-    elif ns.format == "csv":
-        _emit_series_csv(series, out)
-    else:
-        out.write(series.pretty() + "\n")
+    _emit(ns.format, out, series.to_json_dict(), _series_rows(series), (series.pretty(), *tail))
     return 0
 
 
@@ -237,9 +219,8 @@ def _cmd_kkv(ns, out):
     q0 = ser.coeffs[0]
     hi = min(ser.windows[0][1], 2 * ns.p_order)
     ok = all(q0[e] == (e // 2 if e % 2 == 0 and e >= 2 else 0) for e in range(ser.windows[0][0], hi + 1))
-    status = _cmd_compare(ns, out, "connected", {"jacobi": ser}, kkv_q0_specialization=ok)
-    if ns.format == "pretty":
-        out.write("KKV q^0 specialization p/(1-p)^2: %s\n" % ("PASS" if ok else "FAIL"))
+    tail = ("KKV q^0 specialization p/(1-p)^2: %s" % ("PASS" if ok else "FAIL"),)
+    status = _cmd_compare(ns, out, "connected", {"jacobi": ser}, tail, kkv_q0_specialization=ok)
     return status if ok else 2
 
 
@@ -247,10 +228,8 @@ def _cmd_fd(ns, out):
     surf = dtseries.SurfaceData(ns.eB, ns.eS)
     pc = dtseries.PointConfig(ns.smooth, ns.nodal)
     report = dtseries.f_d_compare(pc, surf, ns.p_order, _cache(ns))
-    if ns.format == "pretty":
-        out.write("factored: %s\n" % report.side_a.pretty())
-        out.write("strata:   %s\n" % report.side_b.pretty())
-    return _emit_report(report, ns.format, out)
+    head = ("factored: %s" % report.side_a.pretty(), "strata:   %s" % report.side_b.pretty())
+    return _emit_report(report, ns.format, out, head)
 
 
 def _cmd_tangent(ns, out):
@@ -258,48 +237,32 @@ def _cmd_tangent(ns, out):
     desc = deform.CombCurveDescriptor(surf, ns.smooth_fibers, ns.nodal_fibers)
     ed = deform.euler_data(surf)
     payload = {
-        "euler_data": {
-            "chiOS": ed.chiOS,
-            "chiOB": ed.chiOB,
-            "h0_NBT": ed.h0_NBT,
-            "h0_NBS": ed.h0_NBS,
-        },
+        "euler_data": dataclasses.asdict(ed),
         "chi_OC": deform.chi_OC(desc),
         "tangent_dim": deform.tangent_dim(desc),
         "behrend_sign": deform.behrend_sign(desc),
         "fibers": [],
     }
+    rows = [("partition", "arrow_classes", "haiman_basis_size", "vl_basis_size")]
+    lines = [
+        "chi(O_S)=%d chi(O_B)=%d h0(N_B/T)=%d h0(N_B/S)=%d" % dataclasses.astuple(ed),
+        "chi(O_C)=%(chi_OC)d tangent_dim=%(tangent_dim)d behrend_sign=%(behrend_sign)+d" % payload,
+    ]
     for lam in desc.all_fibers():
-        entry = {
-            "partition": list(lam.parts),
-            "arrow_classes": deform.comb_fiber_arrow_classes(lam),
-            "haiman_basis_size": len(deform.haiman_basis_2d(lam)),
-            "vl_basis_size": len(deform.vl_tangent_basis(lam)),
-        }
+        basis = deform.haiman_basis_2d(lam)
+        classes, vl = deform.comb_fiber_arrow_classes(lam), len(deform.vl_tangent_basis(lam))
+        entry = {"partition": list(lam.parts), "arrow_classes": classes,
+                 "haiman_basis_size": len(basis), "vl_basis_size": vl}
+        rows.append((lam.to_string(), classes, len(basis), vl))
+        lines.append("fiber %s: 2d=%d arrows, stratum basis %d, comb classes %d"
+                     % (entry["partition"], len(basis), vl, classes))
         if ns.arrows:
             entry["arrows"] = [
-                {"tail": list(ar.tail), "head": list(ar.head), "kind": ar.kind}
-                for ar in deform.haiman_basis_2d(lam)
+                {"tail": list(ar.tail), "head": list(ar.head), "kind": ar.kind} for ar in basis
             ]
+            lines += ["  %s -> %s (%s)" % (ar.tail, ar.head, ar.kind) for ar in basis]
         payload["fibers"].append(entry)
-    if ns.format == "json":
-        _emit_json(payload, out)
-    else:
-        out.write("chi(O_S)=%d chi(O_B)=%d h0(N_B/T)=%d h0(N_B/S)=%d\n" % (ed.chiOS, ed.chiOB, ed.h0_NBT, ed.h0_NBS))
-        out.write("chi(O_C)=%d tangent_dim=%d behrend_sign=%+d\n" % (payload["chi_OC"], payload["tangent_dim"], payload["behrend_sign"]))
-        for entry in payload["fibers"]:
-            out.write(
-                "fiber %s: 2d=%d arrows, stratum basis %d, comb classes %d\n"
-                % (
-                    entry["partition"],
-                    entry["haiman_basis_size"],
-                    entry["vl_basis_size"],
-                    entry["arrow_classes"],
-                )
-            )
-            if ns.arrows:
-                for ar in entry["arrows"]:
-                    out.write("  %s -> %s (%s)\n" % (tuple(ar["tail"]), tuple(ar["head"]), ar["kind"]))
+    _emit(ns.format, out, payload, rows, lines)
     return 0
 
 

@@ -301,10 +301,9 @@ def dt_hat(surf, q_order, order, side="product", p_window=None, cache=None):
     """
     if side == "sum":
         t = _Tilde(order, cache)
-        f1, f2 = F1F2(order, cache)
         g_ser = _stack_q([_smooth_weight(a, t) for a in range(q_order + 1)])
         h_ser = _stack_q([_nodal_weight(b, t) for b in range(q_order + 1)])
-        out = power(_embed(f1, q_order), surf.eB) * power(_embed(f2, q_order), surf.eS)
+        out = _embed(_factored_prefactor(surf.eB, surf.eS, t), q_order)
         out = out * power(g_ser, surf.eB - surf.eS)
         out = out * power(h_ser, surf.eS)
         return out
@@ -328,7 +327,7 @@ def dt_fib(surf, q_order, order, side="product", p_window=None, cache=None):
         counts = PQSeries.exact(
             HalfLaurent({0: len(enumerate_partitions(d))}) for d in range(q_order + 1)
         )
-        out = power(_embed(t(EMPTY, EMPTY, EMPTY), q_order), surf.eS)
+        out = _embed(_factored_prefactor(0, surf.eS, t), q_order)  # F2^eS = V~(empty)^eS
         out = out * power(counts, surf.eB - surf.eS)
         out = out * power(h_fib, surf.eS)
         return out

@@ -24,14 +24,17 @@ statement about exactly-known coefficients only.
 Every product goes through one kernel: ``_degree_product`` folds the window of
 a q-degree from the factor windows first, then ``_convolve``, the only place
 that multiplies term pairs, skips each exponent above that window's ceiling.
-``HalfLaurent.__mul__``, series multiplication, ``invert`` and ``macmahon_p``
-all call it.  ``PQSeries.exact`` is the one constructor for exactly-known data:
-row d gets the window (min exponent, None), or (None, None) when it is zero.
+``HalfLaurent.__mul__``, series multiplication and ``invert`` all call it.
+``PQSeries.exact`` is the one constructor for exactly-known data: row d gets
+the window (min exponent, None), or (None, None) when it is zero.
+
+Every product constructor (``linear_factor``, ``macmahon``, whose shift 0 is
+``macmahon_p``, ``euler_product`` and ``theta``) multiplies factors
+(1 - p^a q^b)^e built by one binomial expansion, ``_factors``.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -144,9 +147,6 @@ class HalfLaurent:
 
     def __repr__(self):
         return "HalfLaurent(%r)" % (dict(self.items()),)
-
-
-ONE = HalfLaurent({0: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -581,14 +581,11 @@ def compare(a, b, q_order=None, p_lo=None, p_hi=None):
 # Standard series constructors
 
 
-def _validate_window(p_window):
-    lo, hi = p_window
-    if lo > hi:
-        raise WindowExhausted("p_window [%d, %d] is empty" % (lo, hi))
-    return lo, hi
-
-
-def _check_holds(series, p_lo):
+def _held(series, p_window):
+    """series, once p_window (half-units) is nonempty and its floor holds the support."""
+    p_lo, p_hi = p_window
+    if p_lo > p_hi:
+        raise WindowExhausted("p_window [%d, %d] is empty" % (p_lo, p_hi))
     for lo, _ in series.windows:
         if lo is not None and lo < p_lo:
             raise WindowExhausted(
@@ -598,78 +595,71 @@ def _check_holds(series, p_lo):
     return series
 
 
+def _factors(triples, q_order, hi=None):
+    """prod (1 - p^a q^b)^e over the (a, b, e) triples, multiplied in their order.
+
+    Each factor is its binomial series: term k is c_k p^(ak) q^(bk), with
+    c_0 = 1 and c_(k+1) = c_k (k - e)/(k + 1).  Its rows are exact, except
+    that b = 0 with e < 0 is infinite in p: it needs a > 0 and is cut at the
+    exponent hi (half-units) with the window (0, hi).
+    """
+    out = PQSeries.one(q_order)
+    for a, b, e in triples:
+        cut = b == 0 and e < 0
+        if b < 0 or (cut and a <= 0):
+            raise ValueError("(1 - p^%d q^%d)^%d has no expansion here" % (a, b, e))
+        rows = [[] for _ in range(q_order + 1)]
+        c, k = 1, 0
+        while c and k * b <= q_order and not (cut and 2 * a * k > hi):
+            rows[k * b].append((2 * a * k, c))
+            c, k = c * (k - e) // (k + 1), k + 1
+        rows = [HalfLaurent(r) for r in rows]
+        if cut:
+            out = _binary_mul(out, PQSeries.constant(rows[0], q_order, window=(0, hi)))
+        else:
+            out = _binary_mul(out, PQSeries.exact(rows))
+    return out
+
+
 def linear_factor(a, b, sign, q_order, p_window):
     """(1 - p^a q^b)^(+-1) with a an integer power of p and b >= 0.
 
-    The expanded form is exact; only (1 - p^a)^(-1) with b = 0 needs the
-    window's upper end as a truncation bound.
+    The expanded form is exact; only (1 - p^a)^(-1) with b = 0, which needs
+    a > 0, takes the window's upper end as a truncation bound.
     """
-    lo, hi = _validate_window(p_window)
-    e = 2 * a
-    if sign == 1:
-        if b > q_order:
-            return PQSeries.one(q_order)
-        out = PQSeries.from_terms([(0, 1)], q_order) - PQSeries.from_terms(
-            [(e, 1)], q_order, q_degree=b
-        )
-        return _check_holds(out, lo)
-    if sign != -1:
+    if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if b == 0:
-        base = PQSeries.constant(HalfLaurent({0: 1, e: -1}), q_order, window=(min(0, e), hi))
-        return _check_holds(invert(base), lo)
-    rows = [HalfLaurent()] * (q_order + 1)
-    for k in range(q_order // b + 1):
-        rows[k * b] = HalfLaurent({k * e: 1})
-    return _check_holds(PQSeries.exact(rows), lo)
+    return _held(_factors([(a, b, sign)], q_order, p_window[1]), p_window)
 
 
 def macmahon(q_order, p_window, shift=1):
-    """The box-counting double product in powers of q^shift.
+    """The box-counting double product in powers of q^shift; shift 0 is M(p).
 
     Expands prod_m (1 - p^m q^shift)^(-m) exactly up to the q-order and the
     window's upper end in p.
     """
-    lo, hi = _validate_window(p_window)
-    if shift < 1:
-        raise ValueError("shift must be >= 1")
-    out = PQSeries.one(q_order)
-    if shift <= q_order:
-        for m in range(1, hi // 2 + 1):
-            out = _binary_mul(out, power(linear_factor(m, shift, -1, q_order, p_window), m))
-    # dropped factors only touch p-exponents above hi, so the truncation is exact
-    return _check_holds(out.with_p_hi(hi), lo)
+    if shift < 0:
+        raise ValueError("shift must be >= 0")
+    hi = p_window[1]
+    # dropped factors only touch p-exponents above hi, so the truncation is
+    # exact; m = 1 always stays, so no row is claimed zero below a low hi
+    out = _factors([(m, shift, -m) for m in range(1, max(hi // 2, 1) + 1)], q_order, hi)
+    return _held(out.with_p_hi(hi), p_window)
 
 
 def macmahon_p(q_order, p_window):
     """The q-free specialization of the box-counting product, truncated at the window top."""
-    lo, hi = _validate_window(p_window)
-    data = ONE
-    for m in range(1, hi // 2 + 1):
-        geom = HalfLaurent({2 * m * k: math.comb(m + k - 1, k) for k in range(hi // (2 * m) + 1)})
-        data = _convolve(((data, geom),), hi)
-    out = PQSeries.constant(data, q_order, window=(0, hi))
-    return _check_holds(out, lo)
+    return macmahon(q_order, p_window, shift=0)
 
 
 def euler_product(q_order, p_window=None):
     """prod_k (1 - q^k) up to the q-order; p-free and exactly known."""
-    out = PQSeries.one(q_order)
-    for k in range(1, q_order + 1):
-        out = _binary_mul(out, linear_factor(0, k, 1, q_order, (0, 0)))
-    if p_window is not None:
-        _validate_window(p_window)
-        _check_holds(out, p_window[0])
-    return out
+    out = _factors([(0, k, 1) for k in range(1, q_order + 1)], q_order)
+    return out if p_window is None else _held(out, p_window)
 
 
 def theta(q_order, p_window):
     """(p^(1/2) - p^(-1/2)) prod_k (1 - p q^k)(1 - p^(-1) q^k)(1 - q^k)^(-2)."""
-    lo, _hi = _validate_window(p_window)
-    out = PQSeries.from_terms([(1, 1), (-1, -1)], q_order)
-    for k in range(1, q_order + 1):
-        out = _binary_mul(out, linear_factor(1, k, 1, q_order, p_window))
-        out = _binary_mul(out, linear_factor(-1, k, 1, q_order, p_window))
-        out = _binary_mul(out, power(linear_factor(0, k, -1, q_order, p_window), 2))
-    return _check_holds(out, lo)
-
+    triples = [t for k in range(1, q_order + 1) for t in ((1, k, 1), (-1, k, 1), (0, k, -2))]
+    prefactor = PQSeries.from_terms([(1, 1), (-1, -1)], q_order)
+    return _held(_binary_mul(prefactor, _factors(triples, q_order)), p_window)

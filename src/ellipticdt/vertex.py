@@ -105,6 +105,13 @@ class VertexRecord:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Read a record as to_json_dict writes it; counts other than a list of
+        nonnegative decimal strings raise ValueError."""
+        counts = data["counts"]
+        if not isinstance(counts, list) or not all(
+            isinstance(c, str) and c.isascii() and c.isdigit() for c in counts
+        ):
+            raise ValueError("counts must be a list of nonnegative decimal strings")
         return cls(
             lam=Partition(data["lam"]),
             mu=Partition(data["mu"]),

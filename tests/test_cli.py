@@ -27,13 +27,13 @@ def test_public_names_are_pinned():
         "HalfLaurent", "LegConfig", "NotInvertible", "PQSeries", "Partition",
         "PointConfig", "SeriesComparison", "SeriesError", "SurfaceData", "VertexCache",
         "VertexRecord", "WindowExhausted", "behrend_sign", "behrend_transform", "chi_OC",
-        "comb_fiber_arrow_classes", "compare", "connected", "deform", "dt_fib", "dt_hat",
-        "dtseries", "enumerate_partitions", "euler_data", "euler_product", "f_d_compare",
+        "comb_fiber_arrow_classes", "compare", "connected", "dt_fib", "dt_hat",
+        "enumerate_partitions", "euler_data", "euler_product", "f_d_compare",
         "f_d_series", "g_of", "h_of", "haiman_basis_2d", "identity_a", "identity_b",
         "identity_c", "invert", "linear_factor", "macmahon", "macmahon_p",
-        "minimal_element_count", "minimal_volume", "partitions", "power", "series",
+        "minimal_element_count", "minimal_volume", "power",
         "substitute_neg_p", "symprod_check", "tangent_dim", "theta", "tilde_vertex",
-        "vertex", "vl_tangent_basis",
+        "vl_tangent_basis",
     ]
 
 
@@ -164,6 +164,20 @@ def test_tangent_json(capsys):
     assert data["chi_OC"] == -1
     assert data["fibers"][0]["haiman_basis_size"] == 6
     assert len(data["fibers"][0]["arrows"]) == 6
+
+
+def test_tangent_csv(capsys):
+    code, out, _ = run(
+        capsys, "tangent", "--eB", "2", "--eS", "12",
+        "--smooth-fibers", "2,1", "--nodal-fibers", "3", "--format", "csv",
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows == [
+        ["partition", "arrow_classes", "haiman_basis_size", "vl_basis_size"],
+        ["2,1", "4", "6", "4"],
+        ["3", "3", "6", "3"],
+    ]
 
 
 def test_symprod_command(capsys):

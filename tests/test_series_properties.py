@@ -5,8 +5,12 @@ windows, and checks that every coefficient a sum, difference, product,
 inverse, power, MacMahon expansion, truncation, shift or p -> -p substitution
 claims to know equals the full-precision value, and that a comparison reports
 equality only on nonempty regions where the full-precision values agree.  The
-runs are derandomized, so the suite stays deterministic.
+product constructors (linear factors, MacMahon, Euler and theta products) are
+checked against a term-by-term product of geometric rows.  The runs are
+derandomized, so the suite stays deterministic.
 """
+
+import functools
 
 import pytest
 
@@ -19,10 +23,14 @@ from ellipticdt.series import (  # noqa: E402
     PQSeries,
     WindowExhausted,
     compare,
+    euler_product,
     invert,
+    linear_factor,
+    macmahon,
     macmahon_p,
     power,
     substitute_neg_p,
+    theta,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -246,3 +254,109 @@ def test_compare_reports_equality_only_where_the_sides_agree(data):
         top = hi if hi is not None else max([lo] + list(ca.c) + list(cb.c))
         agree = agree and all(ca[e] == cb[e] for e in range(lo, top + 1))
     assert rep.equal == agree
+
+
+# ---------------------------------------------------------------------------
+# Product constructors against a naive expansion
+
+BOUND = 40  # p-exponent (half-units) to which the naive products are known
+
+
+def naive_factors(triples, q_order):
+    """prod (1 - p^a q^b)^e over (a, b, e), known to x^BOUND.
+
+    Each factor is multiplied in as e copies of (1 - p^a q^b), or as -e copies
+    of the geometric row sum_k p^(ak) q^(bk), one term pair at a time.  Terms
+    above q^q_order or x^BOUND are dropped, which keeps every coefficient up
+    to x^BOUND exact as long as the dropped exponents stay nonnegative.
+    """
+    out = {(0, 0): 1}
+    for a, b, e in triples:
+        if e > 0:
+            row = {(0, 0): 1}
+            row[(b, 2 * a)] = row.get((b, 2 * a), 0) - 1
+        else:
+            row = {}
+            k = 0
+            while k * b <= q_order and 2 * a * k <= BOUND:
+                row[(k * b, 2 * a * k)] = 1
+                k += 1
+        for _ in range(abs(e)):
+            nxt = {}
+            for (d1, e1), v1 in out.items():
+                for (d2, e2), v2 in row.items():
+                    if d1 + d2 <= q_order and e1 + e2 <= BOUND:
+                        nxt[(d1 + d2, e1 + e2)] = nxt.get((d1 + d2, e1 + e2), 0) + v1 * v2
+            out = nxt
+    rows = [{} for _ in range(q_order + 1)]
+    for (d, e), v in out.items():
+        rows[d][e] = v
+    return PQSeries.exact(HalfLaurent(r) for r in rows).with_p_hi(BOUND)
+
+
+def assert_holds_or_refused(build, truth, p_window):
+    """build() agrees with truth, or refuses a p_window that cannot hold truth:
+    truth has support below its floor, or a nonzero row starting above its top."""
+    try:
+        got = build()
+    except WindowExhausted:
+        floors = [hl.min_exp() for hl in truth.coeffs if not hl.is_zero()]
+        assert p_window is not None and (min(floors) < p_window[0] or max(floors) > p_window[1])
+        return
+    assert_agrees(got, truth)
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(-6, 0), st.integers(0, BOUND))
+def test_linear_factor_cut_in_p_claims_hold(a, q_order, lo, hi):
+    # (1 - p^a)^(-1) is infinite in p: it is cut at the window top and known to it
+    got = linear_factor(a, 0, -1, q_order, (lo, hi))
+    assert got.windows == ((0, hi),) + ((None, None),) * q_order
+    assert_agrees(got, naive_factors([(a, 0, -1)], q_order))
+
+
+@functools.lru_cache(maxsize=None)
+def naive_macmahon(q_order, shift):
+    return naive_factors(tuple((m, shift, -m) for m in range(1, BOUND // 2 + 1)), q_order)
+
+
+@PROPERTY
+@given(
+    st.integers(-3, 3), st.integers(0, 4), st.sampled_from((1, -1)), st.integers(0, 4),
+    st.integers(-8, 0), st.integers(0, BOUND),
+)
+def test_linear_factor_claims_hold(a, b, sign, q_order, lo, hi):
+    if sign < 0 and b == 0 and a <= 0:  # no expansion in nonnegative powers of p
+        with pytest.raises(ValueError):
+            linear_factor(a, b, sign, q_order, (lo, hi))
+        return
+    truth = naive_factors([(a, b, sign)], q_order)
+    assert_holds_or_refused(lambda: linear_factor(a, b, sign, q_order, (lo, hi)), truth, (lo, hi))
+
+
+@PROPERTY
+@given(st.integers(0, 3), st.integers(0, 4), st.integers(-6, 0), st.integers(0, BOUND))
+def test_macmahon_claims_hold(q_order, shift, lo, hi):
+    def build():
+        got = macmahon(q_order, (lo, hi), shift=shift)
+        assert all(top == hi for floor, top in got.windows if floor is not None)
+        return got
+
+    assert_holds_or_refused(build, naive_macmahon(q_order, shift), (lo, hi))
+
+
+@PROPERTY
+@given(st.integers(0, 7), st.none() | st.integers(-4, 2))
+def test_euler_product_claims_hold(q_order, lo):
+    truth = naive_factors([(0, k, 1) for k in range(1, q_order + 1)], q_order)
+    pw = None if lo is None else (lo, lo + 4)
+    assert_holds_or_refused(lambda: euler_product(q_order, pw), truth, pw)
+
+
+@PROPERTY
+@given(st.integers(0, 4), st.integers(-12, 0))
+def test_theta_claims_hold(q_order, lo):
+    triples = [t for k in range(1, q_order + 1) for t in ((1, k, 1), (-1, k, 1), (0, k, -2))]
+    prefactor = PQSeries.from_terms([(1, 1), (-1, -1)], q_order)
+    truth = naive_mul(prefactor, naive_factors(triples, q_order))
+    assert_holds_or_refused(lambda: theta(q_order, (lo, 0)), truth, (lo, 0))

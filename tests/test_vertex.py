@@ -289,6 +289,16 @@ def test_cache_corruption_is_a_miss(tmp_path):
     # recomputation still works and matches
     clear_memo()
     assert tilde_vertex(cfg, 4, cache) == rec1
+    # counts are read only as the list of decimal strings put writes: int()
+    # of "100", of 2.5 or of "-4" would serve wrong counts as exact
+    empty = legs((), (), ())
+    rec2 = tilde_vertex(empty, 2, cache)
+    assert rec2.counts == (1, 1, 3)
+    for counts in ("100", [1, 2.5, 3], ["1", "-4", "3"]):
+        _rewrite_record(cache, empty, 2, {"counts": counts})
+        assert cache.get(empty, 2) is None
+        clear_memo()
+        assert tilde_vertex(empty, 2, cache) == rec2
 
 
 def test_failed_cache_write_leaves_no_temp_file(tmp_path):

@@ -1,0 +1,60 @@
+"""Print the exit code and stdout sha256 of a fixed list of ellipticdt commands.
+
+Run from a checkout with the package importable, for example
+
+    PYTHONPATH=src python tools/output_digests.py > digests.txt
+
+Each command runs in-process through ``cli.main`` after
+``vertex.clear_memo()``, so it starts as cold as a fresh CLI process.  One
+line is printed per command: ``exit sha256 argv``.  Running the script in two
+checkouts and diffing the outputs shows every command whose printed bytes
+changed.
+"""
+
+import contextlib
+import hashlib
+import io
+
+from ellipticdt import cli, vertex
+
+FORMATS = ("pretty", "json", "csv")
+
+
+def commands():
+    q6p12 = ("--q-order", "6", "--p-order", "12")
+    out = [
+        ("check", "all", "--format", "json", "--seed", "1", "--q-order", "4", "--p-order", "8"),
+        ("check", "all", "--format", "json", "--seed", "1") + q6p12,
+    ]
+    for eB, eS in cli.SURFACE_PAIRS:
+        for command in ("dt", "dtfib", "connected"):
+            out.append((command, "--eB", str(eB), "--eS", str(eS), "--format", "json") + q6p12)
+    out.append(("kkv", "--format", "json") + q6p12)
+    for fmt in FORMATS:
+        out += [
+            ("fd", "--smooth", "1,2", "--nodal", "1", "--p-order", "8", "--format", fmt),
+            ("vertex", "--legs", "2,1;1;", "--p-order", "6", "--format", fmt),
+            ("symprod-check", "--random", "5", "--format", fmt),
+            ("tangent", "--smooth-fibers", "2,1", "--nodal-fibers", "3;1,1", "--arrows",
+             "--format", fmt),
+        ]
+    return out
+
+
+def digest(argv):
+    """(exit code, sha256 of stdout) of one in-process run; stderr is dropped."""
+    vertex.clear_memo()
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def main():
+    for argv in commands():
+        code, sha = digest(argv)
+        print(code, sha, " ".join(argv), flush=True)
+
+
+if __name__ == "__main__":
+    main()
