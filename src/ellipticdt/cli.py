@@ -72,6 +72,17 @@ def _parse_int_list(text):
     return vals
 
 
+def _order(text):
+    """A nonnegative integer, the value of --q-order or --p-order."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % value)
+    return value
+
+
 def _parse_window(text):
     """Whole p-units "lo:hi" as a half-unit window; empty text is the default window."""
     if not text:
@@ -119,20 +130,9 @@ def _series_rows(series):
             yield d, e, v
 
 
-def _coefficient_pairs(report, in_region=False):
-    """(d, exp_half, lhs, rhs) at each exponent either side stores, or only
-    at those inside the compared region."""
-    for d in range(report.q_order + 1):
-        lo, hi = report.regions[d]
-        ca, cb = report.side_a.coeffs[d], report.side_b.coeffs[d]
-        for e in sorted(set(ca.c) | set(cb.c)):
-            if not in_region or ((lo is None or lo <= e) and (hi is None or e <= hi)):
-                yield d, e, ca[e], cb[e]
-
-
 def _verdict_lines(report):
     yield "%6s %10s %16s %16s" % ("q", "p(half)", "side_a", "side_b")
-    for row in _coefficient_pairs(report, in_region=True):
+    for row in report.pairs(in_region=True):
         yield "%6d %10d %16s %16s" % row
     lo, hi = report.window()
     if report.equal:
@@ -144,7 +144,7 @@ def _verdict_lines(report):
 def _emit_report(report, fmt, out, head=(), tail=(), **extra):
     """Write one comparison in fmt, JSON with the extra keys, the pretty table
     between the head and tail lines; return the exit code."""
-    rows = itertools.chain([("d", "exp_half", "lhs", "rhs")], _coefficient_pairs(report))
+    rows = itertools.chain([("d", "exp_half", "lhs", "rhs")], report.pairs())
     lines = itertools.chain(head, _verdict_lines(report), tail)
     _emit(fmt, out, dict(report.to_json_dict(), **extra), rows, lines)
     return 0 if report.equal else 2
@@ -420,11 +420,15 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, eb_es=False, window=False):
-        p.add_argument("--q-order", type=int, default=4)
-        p.add_argument("--p-order", type=int, default=8)
+    def common(p, q_order=True, p_order=True, cache=True, eb_es=False, window=False):
+        """Give p --format and the flags its command reads."""
+        if q_order:
+            p.add_argument("--q-order", type=_order, default=4)
+        if p_order:
+            p.add_argument("--p-order", type=_order, default=8)
         p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-        p.add_argument("--cache-dir", default=None)
+        if cache:
+            p.add_argument("--cache-dir", default=None)
         if eb_es:
             p.add_argument("--eB", type=int, default=2)
             p.add_argument("--eS", type=int, default=12)
@@ -433,7 +437,7 @@ def build_parser():
 
     p = sub.add_parser("vertex", help="normalized vertex for a leg triple")
     p.add_argument("--legs", type=_parse_legs, required=True, help='three ";"-separated partitions, e.g. "2,1;;"')
-    common(p)
+    common(p, q_order=False)
 
     for name, hlp in (
         ("dt", "section-class partition function, sum and/or product side"),
@@ -455,19 +459,19 @@ def build_parser():
     p = sub.add_parser("fd", help="pushforward weight at a point configuration, both modes")
     p.add_argument("--smooth", type=_parse_int_list, default="", help="comma list of smooth-point multiplicities")
     p.add_argument("--nodal", type=_parse_int_list, default="", help="comma list of nodal-point multiplicities")
-    common(p, eb_es=True)
+    common(p, q_order=False, eb_es=True)
 
     p = sub.add_parser("tangent", help="deformation data for a thickened comb curve")
     p.add_argument("--smooth-fibers", type=_parse_partition_list, default="", help='";"-separated partitions')
     p.add_argument("--nodal-fibers", type=_parse_partition_list, default="", help='";"-separated partitions')
     p.add_argument("--arrows", action="store_true", help="list the arrow basis")
-    common(p, eb_es=True)
+    common(p, q_order=False, p_order=False, cache=False, eb_es=True)
 
     p = sub.add_parser("symprod-check", help="symmetric-product expansion checks")
     p.add_argument("--exponent", type=int, default=None)
     p.add_argument("--random", type=int, default=20, dest="random_tables")
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    common(p, p_order=False, cache=False)
 
     p = sub.add_parser("check", help="run the identity suite")
     p.add_argument("what", nargs="?", default="all", choices=("all",))
@@ -499,10 +503,7 @@ def dispatch(ns, out=None):
 def main(argv=None):
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        if ns.q_order < 0 or ns.p_order < 0:
-            raise UsageError("--q-order and --p-order must be nonnegative")
-        return dispatch(ns)
+        return dispatch(parser.parse_args(argv))
     except UsageError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

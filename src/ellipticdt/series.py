@@ -488,17 +488,33 @@ def substitute_neg_p(a):
 
 
 class SeriesComparison:
-    """Coefficientwise comparison of two series on their common known region."""
+    """Coefficientwise comparison of two series on the regions ``compare`` built.
+
+    ``first_discrepancy`` is the first in-region ``(d, exp_half, lhs, rhs)``
+    whose values differ, or None, and ``equal`` says it is None.
+    """
 
     __slots__ = ("equal", "q_order", "regions", "first_discrepancy", "side_a", "side_b")
 
-    def __init__(self, equal, q_order, regions, first_discrepancy, side_a, side_b):
-        self.equal = equal
+    def __init__(self, q_order, regions, side_a, side_b):
         self.q_order = q_order
         self.regions = regions
-        self.first_discrepancy = first_discrepancy
         self.side_a = side_a
         self.side_b = side_b
+        self.first_discrepancy = next(
+            (pair for pair in self.pairs(in_region=True) if pair[2] != pair[3]), None
+        )
+        self.equal = self.first_discrepancy is None
+
+    def pairs(self, in_region=False):
+        """Yield (d, exp_half, lhs, rhs), in (d, exp_half) order, at each exponent
+        either side stores, or only at those inside the compared region."""
+        for d in range(self.q_order + 1):
+            lo, hi = self.regions[d]
+            ca, cb = self.side_a.coeffs[d].c, self.side_b.coeffs[d].c
+            for e in sorted(ca.keys() | cb.keys()):
+                if not in_region or ((lo is None or lo <= e) and (hi is None or e <= hi)):
+                    yield d, e, ca.get(e, 0), cb.get(e, 0)
 
     def window(self):
         los = [lo for lo, hi in self.regions if lo is not None]
@@ -523,7 +539,7 @@ class SeriesComparison:
         return out
 
 
-def compare(a, b, q_order=None, p_lo=None, p_hi=None):
+def compare(a, b, p_lo=None, p_hi=None):
     """Compare a and b coefficientwise wherever both are exactly known.
 
     By default the region at degree d runs from the lower support floor up to
@@ -531,23 +547,14 @@ def compare(a, b, q_order=None, p_lo=None, p_hi=None):
     fixed region instead, and it is an error if that region is not fully
     known.  Coefficients below a side's support floor count as known zeros.
     """
-    if q_order is None:
-        q_order = min(a.q_order, b.q_order)
-    if q_order > min(a.q_order, b.q_order):
-        raise WindowExhausted("comparison to q^%d exceeds the known q-order" % q_order)
     if p_lo is not None and p_hi is not None and p_hi < p_lo:
         raise WindowExhausted("empty comparison window [%s, %s]" % (p_lo, p_hi))
     regions = []
-    for d in range(q_order + 1):
-        (la, ha), (lb, hb) = a.windows[d], b.windows[d]
-        if la is None and lb is None:
-            regions.append((None, None) if p_lo is None else (p_lo, p_hi))
-            continue
-        hi = _min_hi(ha, hb)
-        lo = min(x for x in (la, lb) if x is not None)
+    for d, (wa, wb) in enumerate(zip(a.windows, b.windows)):
+        lo, hi = _add_window(wa, wb)  # (None, None) when both sides vanish
         if p_lo is not None:
             lo = p_lo
-        if p_hi is not None:
+        if lo is not None and p_hi is not None:
             if hi is not None and p_hi > hi:
                 raise WindowExhausted(
                     "requested exactness to p-exponent %s/2 at q^%d, known only to %s/2"
@@ -557,24 +564,7 @@ def compare(a, b, q_order=None, p_lo=None, p_hi=None):
         if hi is not None and hi < lo:
             raise WindowExhausted("empty comparison window at q^%d" % d)
         regions.append((lo, hi))
-    equal = True
-    first = None
-    for d in range(q_order + 1):
-        lo, hi = regions[d]
-        if lo is None and hi is None and a.windows[d][0] is None and b.windows[d][0] is None:
-            continue
-        ca, cb = a.coeffs[d], b.coeffs[d]
-        for e in sorted(set(ca.c) | set(cb.c)):
-            if (lo is not None and e < lo) or (hi is not None and e > hi):
-                continue
-            if ca[e] != cb[e]:
-                equal = False
-                if first is None:
-                    first = (d, e, ca[e], cb[e])
-                break
-        if first is not None:
-            break
-    return SeriesComparison(equal, q_order, regions, first, a, b)
+    return SeriesComparison(min(a.q_order, b.q_order), regions, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -88,10 +88,10 @@ class VertexRecord:
     counts: tuple
     min_volume: int
 
-    def series(self, q_order=0):
+    def series(self):
         """The normalized vertex as a q-free series with window [0, 2*order] half-units."""
         terms = HalfLaurent((2 * n, c) for n, c in enumerate(self.counts))
-        return PQSeries.constant(terms, q_order, window=(0, 2 * self.order))
+        return PQSeries.constant(terms, 0, window=(0, 2 * self.order))
 
     def to_json_dict(self):
         return {
@@ -164,28 +164,18 @@ def _candidate_poset(cfg, order):
     nr = order + mu.length() + nu.first_part()
     ns = order + lam.first_part() + nu.length()
     nt = order + lam.length() + mu.first_part()
-    down = [[[0] * nt for _ in range(ns)] for _ in range(nr)]
+    # down[r + 1][s + 1][t + 1] is the down-set size of (r, s, t); index 0 is a zero border
+    down = [[[0] * (nt + 1) for _ in range(ns + 1)] for _ in range(nr + 1)]
     cands = []
     for rho in range(nr):
+        lower, plane = down[rho], down[rho + 1]  # planes rho - 1 and rho
         for sigma in range(ns):
+            l0, l1, p0, p1 = lower[sigma], lower[sigma + 1], plane[sigma], plane[sigma + 1]
             for tau in range(nt):
                 in_p = cfg.in_legs(rho, sigma, tau) == 0
-                v = 1 if in_p else 0
-                if rho:
-                    v += down[rho - 1][sigma][tau]
-                if sigma:
-                    v += down[rho][sigma - 1][tau]
-                if tau:
-                    v += down[rho][sigma][tau - 1]
-                if rho and sigma:
-                    v -= down[rho - 1][sigma - 1][tau]
-                if rho and tau:
-                    v -= down[rho - 1][sigma][tau - 1]
-                if sigma and tau:
-                    v -= down[rho][sigma - 1][tau - 1]
-                if rho and sigma and tau:
-                    v += down[rho - 1][sigma - 1][tau - 1]
-                down[rho][sigma][tau] = v
+                v = (in_p + l1[tau + 1] + p0[tau + 1] + p1[tau]
+                     - l0[tau + 1] - l1[tau] - p0[tau] + l0[tau])
+                p1[tau + 1] = v
                 if in_p and v <= order:
                     cands.append((rho, sigma, tau))
     return cands
@@ -387,13 +377,13 @@ def _record(cfg, order, cache):
     return rec
 
 
-def vertex(cfg, order, q_order=0, cache=None):
+def vertex(cfg, order):
     """The vertex with its usual normalization p^{min_volume} applied.
 
     The p-window is [min_volume, min_volume + order] in whole p-units.
     """
-    rec = tilde_vertex(cfg, order, cache)
-    return rec.series(q_order).shift_p(2 * rec.min_volume)
+    rec = tilde_vertex(cfg, order)
+    return rec.series().shift_p(2 * rec.min_volume)
 
 
 def estimate_nodes(cfg, order):
@@ -405,14 +395,13 @@ def estimate_nodes(cfg, order):
     return (len(_candidate_poset(cfg, order)),)
 
 
-def minimal_element_count(cfg, span=None):
+def minimal_element_count(cfg):
     """Direct count of minimal boxes of P over a scanning box (an independent oracle for c_1)."""
-    if span is None:
-        span = 2 + max(
-            cfg.lam.first_part() + cfg.lam.length(),
-            cfg.mu.first_part() + cfg.mu.length(),
-            cfg.nu.first_part() + cfg.nu.length(),
-        )
+    span = 2 + max(
+        cfg.lam.first_part() + cfg.lam.length(),
+        cfg.mu.first_part() + cfg.mu.length(),
+        cfg.nu.first_part() + cfg.nu.length(),
+    )
     count = 0
     for rho in range(span):
         for sigma in range(span):

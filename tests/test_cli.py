@@ -331,6 +331,22 @@ def test_usage_errors(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv
         assert err.startswith("error: ") and "usage: ellipticdt" in err
+    # each command takes only the flags it reads, and an order is nonnegative
+    for argv in (
+        ("vertex", "--legs", "1;;", "--q-order", "2"),
+        ("fd", "--q-order", "2"),
+        ("symprod-check", "--p-order", "2"),
+        ("symprod-check", "--cache-dir", "cache"),
+        ("tangent", "--q-order", "2"),
+        ("tangent", "--p-order", "2"),
+        ("tangent", "--cache-dir", "cache"),
+        ("dt", "--q-order", "-1"),
+        ("check", "all", "--p-order", "-2"),
+        ("vertex", "--legs", "1;;", "--p-order", "-1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and "usage: ellipticdt" in err, argv
 
 
 def test_help_exits_zero(capsys):

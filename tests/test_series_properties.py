@@ -254,6 +254,21 @@ def test_compare_reports_equality_only_where_the_sides_agree(data):
         top = hi if hi is not None else max([lo] + list(ca.c) + list(cb.c))
         agree = agree and all(ca[e] == cb[e] for e in range(lo, top + 1))
     assert rep.equal == agree
+    # the first discrepancy is the first in-region (d, e) whose stored values
+    # differ, and pairs() yields each stored exponent once, in (d, e) order
+    stored = [
+        (d, e, a.coeffs[d][e], b.coeffs[d][e])
+        for d in range(rep.q_order + 1)
+        for e in sorted(set(a.coeffs[d].c) | set(b.coeffs[d].c))
+    ]
+    assert list(rep.pairs()) == stored
+
+    def inside(d, e):
+        lo, hi = rep.regions[d]
+        return (lo is None or lo <= e) and (hi is None or e <= hi)
+
+    differ = [(d, e, x, y) for d, e, x, y in stored if x != y and inside(d, e)]
+    assert rep.first_discrepancy == (differ[0] if differ else None)
 
 
 # ---------------------------------------------------------------------------

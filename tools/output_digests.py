@@ -6,16 +6,20 @@ Run from a checkout with the package importable, for example
 
 Each command runs in-process through ``cli.main`` after
 ``vertex.clear_memo()``, so it starts as cold as a fresh CLI process.  One
-line is printed per command: ``exit sha256 argv``.  Running the script in two
-checkouts and diffing the outputs shows every command whose printed bytes
-changed.
+line is printed per command: ``exit sha256 argv``.  ``check all --format json``
+prints verdicts only, so three more lines digest the JSON of
+``compare(*identity_x(6, 12))`` for the trace identities A, B and C, with the
+exit code the CLI gives for that verdict: both series and the compared regions
+show there.  Running the script in two checkouts and diffing the outputs shows
+every command whose printed bytes changed.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 
-from ellipticdt import cli, vertex
+from ellipticdt import cli, dtseries, series, vertex
 
 FORMATS = ("pretty", "json", "csv")
 
@@ -50,10 +54,21 @@ def digest(argv):
     return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
+def identity_digest(name):
+    """(0 if equal else 2, sha256 of the comparison JSON) of one trace identity at q6/p12."""
+    vertex.clear_memo()
+    rep = series.compare(*getattr(dtseries, name)(6, 12))
+    text = json.dumps(rep.to_json_dict(), sort_keys=True)
+    return 0 if rep.equal else 2, hashlib.sha256(text.encode()).hexdigest()
+
+
 def main():
     for argv in commands():
         code, sha = digest(argv)
         print(code, sha, " ".join(argv), flush=True)
+    for name in ("identity_a", "identity_b", "identity_c"):
+        code, sha = identity_digest(name)
+        print(code, sha, "compare %s 6 12" % name, flush=True)
 
 
 if __name__ == "__main__":
