@@ -20,9 +20,7 @@ drops them with the vertex records.
 
 from __future__ import annotations
 
-import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
@@ -370,33 +368,29 @@ def behrend_transform(a, chi_os):
 # Symmetric-product expansion check
 
 
-def _generalized_multinomial(e, mults):
-    """Integer coefficient e(e-1)...(e-M+1)/(m_1! m_2! ...) for M = sum(mults)."""
-    total = sum(mults)
-    ff = 1
-    for i in range(total):
-        ff *= e - i
-    out = ff // math.factorial(total)
-    rem = math.factorial(total)
-    for m in mults:
-        rem //= math.factorial(m)
-    return out * rem
-
-
 def symprod_check(g_table, e, q_order):
     """Check the symmetric-product expansion for a weight table g with g(0)=1.
 
     LHS expands sum_d q^d sum over multiplicity tuples (m_1, m_2, ...) with
     sum j*m_j = d of prod g(j)^(m_j) times the generalized multinomial
     coefficient of e; RHS is (sum_a g(a) q^a)^e.  Returns the comparison.
+
+    Each term is built from its parent, the partition without its last
+    (smallest) part j, which has a lower degree and so comes first: the
+    product gains the factor g(j), and the coefficient e(e-1)...(e-M+1)/prod m_i!
+    gains (e - M')/m_j, with M' the parent's number of parts.
     """
     table = {int(a): hl for a, hl in g_table.items()}
+    terms = {(): (HalfLaurent({0: 1}), 1)}  # parts -> (prod g(j), coefficient)
     lhs_rows = [HalfLaurent({0: 1})]
     for d in range(1, q_order + 1):
         acc = HalfLaurent()
         for lam in enumerate_partitions(d):
-            prod = reduce(operator.mul, (table.get(j, HalfLaurent()) for j in lam.parts))
-            coeff = _generalized_multinomial(e, Counter(lam.parts).values())
+            parent, j = lam.parts[:-1], lam.parts[-1]
+            prod, coeff = terms[parent]
+            prod = prod * table.get(j, HalfLaurent())
+            coeff = coeff * (e - len(parent)) // lam.parts.count(j)
+            terms[lam.parts] = prod, coeff
             acc = acc + prod.scale(coeff)
         lhs_rows.append(acc)
     lhs = PQSeries.exact(lhs_rows)
@@ -425,8 +419,7 @@ def identity_b(q_order, order, cache=None, p_window=None):
     one_minus_p = PQSeries.from_terms([(0, 1), (2, -1)], q_order)
     lhs = _stack_q([_nodal_row(d, t) for d in range(q_order + 1)]) * one_minus_p
     pw = _window(p_window, order)
-    rhs = macmahon_p(q_order, pw) * _macmahon_tower(q_order, pw) * _theta_tail(q_order, pw)
-    return lhs, rhs
+    return lhs, _dt_fib_unit(q_order, pw) * _theta_tail(q_order, pw)
 
 
 def identity_c(q_order, order, cache=None, p_window=None):

@@ -183,6 +183,17 @@ def _mul_pair_window(wa, wb):
     return (la + lb, min(cons) if cons else None)
 
 
+def _span(windows, rows):
+    """Aggregate (lo, hi) of per-degree windows: the lowest floor and the weakest
+    ceiling, or, when no degree has a ceiling, the top exponent stored in rows."""
+    los = [lo for lo, _ in windows if lo is not None]
+    his = [hi for _, hi in windows if hi is not None]
+    lo = min(los) if los else 0
+    if his:
+        return (lo, min(his))
+    return (lo, max([lo] + [hl.max_exp() for hl in rows if not hl.is_zero()]))
+
+
 def _check_window(w):
     lo, hi = w
     if lo is None:
@@ -255,19 +266,6 @@ class PQSeries:
 
     # -- views and reshaping --------------------------------------------------
 
-    def p_window(self):
-        """Aggregate (lo, hi): the support floor and the weakest knowledge ceiling."""
-        los = [lo for lo, _ in self.windows if lo is not None]
-        his = [hi for lo, hi in self.windows if lo is not None]
-        lo = min(los) if los else 0
-        fin = [h for h in his if h is not None]
-        if fin:
-            hi = min(fin)
-        else:
-            exps = [hl.max_exp() for hl in self.coeffs if not hl.is_zero()]
-            hi = max(exps) if exps else lo
-        return (lo, hi)
-
     def with_p_hi(self, hi):
         """Forget knowledge above the exponent hi (half-units) at every degree."""
         coeffs, windows = [], []
@@ -338,7 +336,7 @@ class PQSeries:
     # -- serialization --------------------------------------------------------
 
     def to_json_dict(self):
-        lo, hi = self.p_window()
+        lo, hi = _span(self.windows, self.coeffs)
         return {
             "q_order": self.q_order,
             "p_window": [lo, hi],
@@ -348,17 +346,6 @@ class PQSeries:
                 for d, hl in enumerate(self.coeffs)
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        q_order = data["q_order"]
-        coeffs = [HalfLaurent() for _ in range(q_order + 1)]
-        for d, terms in data["coeffs"]:
-            coeffs[d] = HalfLaurent((e, int(v)) for e, v in terms)
-        windows = [(None, None)] * (q_order + 1)
-        for d, lo, hi in data["p_windows"]:
-            windows[d] = (lo, hi)
-        return cls(q_order, coeffs, windows)
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +504,9 @@ class SeriesComparison:
                     yield d, e, ca.get(e, 0), cb.get(e, 0)
 
     def window(self):
-        los = [lo for lo, hi in self.regions if lo is not None]
-        his = [hi for lo, hi in self.regions if hi is not None]
-        return (min(los) if los else 0, min(his) if his else 0)
+        """Aggregate (lo, hi) of the compared regions, from both sides' rows when uncapped."""
+        n = self.q_order + 1
+        return _span(self.regions, self.side_a.coeffs[:n] + self.side_b.coeffs[:n])
 
     def to_json_dict(self):
         lo, hi = self.window()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ellipticdt.cli import SURFACE_PAIRS
 from ellipticdt.dtseries import (
     F1F2,
     PointConfig,
@@ -321,6 +322,51 @@ def test_identity_c_small():
     assert compare(lhs, rhs).equal
     # q^1 row is the two-box-leg ratio: 1 + p + 2p^2 + 3p^3 + ...
     assert [lhs.coeffs[1][2 * k] for k in range(4)] == [1, 1, 2, 3]
+
+
+def _claimed(series, d, e):
+    """The q^d p^(e/2) coefficient series claims to know, or None if it claims nothing there."""
+    lo, hi = series.windows[d]
+    if lo is None or e < lo:
+        return 0
+    if hi is None or e <= hi:
+        return series.coeffs[d][e]
+    return None
+
+
+def _assembled(q_order, order):
+    """name -> series: every side of dt_hat, dt_fib and connected, and of the three identities."""
+    out = {}
+    for eb, es in SURFACE_PAIRS:
+        surf = SurfaceData(eb, es)
+        for fn, sides in (
+            (dt_hat, ("sum", "product")),
+            (dt_fib, ("sum", "product")),
+            (connected, ("ratio", "jacobi")),
+        ):
+            for side in sides:
+                out["%s/%s/%+d/%d" % (fn.__name__, side, eb, es)] = fn(surf, q_order, order, side)
+    for fn in (identity_a, identity_b, identity_c):
+        out[fn.__name__ + "/lhs"], out[fn.__name__ + "/rhs"] = fn(q_order, order)
+    return out
+
+
+def test_windows_hold_across_orders():
+    """Every coefficient a series claims known at low orders (values up to the
+    ceiling, zeros below the floor, claimed-zero rows) equals the same
+    coefficient at higher orders wherever those also claim it."""
+    for low_orders, high_orders in (((3, 6), (3, 10)), ((2, 6), (4, 6)), ((3, 5), (4, 9))):
+        high = _assembled(*high_orders)
+        for name, low in _assembled(*low_orders).items():
+            checked = 0
+            for d in range(low.q_order + 1):
+                # both sides claim 0 at every exponent neither stores
+                for e in low.coeffs[d].c.keys() | high[name].coeffs[d].c.keys():
+                    claim, truth = _claimed(low, d, e), _claimed(high[name], d, e)
+                    if claim is not None and truth is not None:
+                        assert claim == truth, (name, low_orders, high_orders, d, e)
+                        checked += 1
+            assert checked, (name, low_orders, high_orders)
 
 
 # sha256 of json.dumps(series.to_json_dict(), sort_keys=True) at q^4 / p^8,

@@ -254,6 +254,8 @@ def test_compare_reports_equality_only_where_the_sides_agree(data):
         top = hi if hi is not None else max([lo] + list(ca.c) + list(cb.c))
         agree = agree and all(ca[e] == cb[e] for e in range(lo, top + 1))
     assert rep.equal == agree
+    lo, hi = rep.window()
+    assert lo <= hi
     # the first discrepancy is the first in-region (d, e) whose stored values
     # differ, and pairs() yields each stored exponent once, in (d, e) order
     stored = [

@@ -10,16 +10,22 @@ line is printed per command: ``exit sha256 argv``.  ``check all --format json``
 prints verdicts only, so three more lines digest the JSON of
 ``compare(*identity_x(6, 12))`` for the trace identities A, B and C, with the
 exit code the CLI gives for that verdict: both series and the compared regions
-show there.  Running the script in two checkouts and diffing the outputs shows
-every command whose printed bytes changed.
+show there.  For the same reason 21 lines digest both sides of
+``dtseries.symprod_check`` at q^6 and every exponent from -3 to 3, one line
+per weight table that ``check all --seed 1`` checks: the constant table, then
+the 20 tables ``cli._random_g_table`` draws from ``random.Random(1)``.
+Running the script in two checkouts and diffing the outputs shows every
+command whose printed bytes changed.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import random
 
 from ellipticdt import cli, dtseries, series, vertex
+from ellipticdt.series import HalfLaurent
 
 FORMATS = ("pretty", "json", "csv")
 
@@ -62,6 +68,28 @@ def identity_digest(name):
     return 0 if rep.equal else 2, hashlib.sha256(text.encode()).hexdigest()
 
 
+def symprod_tables():
+    """(name, table) at q^6: the constant table, then the 20 random tables of `check all --seed 1`."""
+    yield "constant", {a: HalfLaurent({0: 1}) for a in range(1, 7)}
+    rng = random.Random(1)
+    for i in range(20):
+        yield "random%02d" % i, cli._random_g_table(rng, 6)
+
+
+def symprod_digest(table):
+    """(0 if every exponent is equal else 2, sha256 of both sides at each exponent).
+
+    The report's window is left out, so a line changes with a coefficient and
+    not with the rule for the aggregate window."""
+    sides, code = [], 0
+    for e in range(-3, 4):
+        rep = dtseries.symprod_check(table, e, 6)
+        sides.append([rep.side_a.to_json_dict(), rep.side_b.to_json_dict()])
+        code = code if rep.equal else 2
+    text = json.dumps(sides, sort_keys=True)
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
 def main():
     for argv in commands():
         code, sha = digest(argv)
@@ -69,6 +97,9 @@ def main():
     for name in ("identity_a", "identity_b", "identity_c"):
         code, sha = identity_digest(name)
         print(code, sha, "compare %s 6 12" % name, flush=True)
+    for name, table in symprod_tables():
+        code, sha = symprod_digest(table)
+        print(code, sha, "symprod_check %s 6 e=-3..3" % name, flush=True)
 
 
 if __name__ == "__main__":
