@@ -15,7 +15,11 @@ The surface-independent building blocks (vertex rows and weights, F1 and F2,
 the product factors and the unit products raised to Euler-characteristic
 powers) go through vertex.memoized, the one in-process memo keyed by (builder,
 arguments), so one `check all` builds each of them once; vertex.clear_memo()
-drops them with the vertex records.
+drops them with the vertex records.  Three more products are shared the same
+way: the symmetric-product terms of a weight table (_symprod_products), built
+once for every exponent symprod_check checks; the product sides of dt_hat and
+dt_fib (_dt_hat_product, _dt_fib_product), which connected's ratio reuses; and
+the point products of f_d_series (_point_product), each built from its prefix.
 """
 
 from __future__ import annotations
@@ -201,21 +205,26 @@ def f_d_series(config, surf, order, mode="factored", cache=None):
     """
     t = _Tilde(order, cache)
     if mode == "factored":
-        out = _factored_prefactor(surf.eB, surf.eS, t)
-        for a in config.a:
-            out = out * _smooth_weight(a, t)
-        for b in config.b:
-            out = out * _nodal_weight(b, t)
-        return out
+        prefactor = _factored_prefactor(surf.eB, surf.eS, t)
+        return prefactor * _point_product(config.a, config.b, False, t)
     if mode != "strata":
         raise ValueError("mode must be 'factored' or 'strata'")
     n, m = len(config.a), len(config.b)
-    out = _strata_prefactor(surf.eS - surf.eB + n, surf.eB - n - m, surf.eB, t)
-    for a in config.a:
-        out = out * _smooth_row(a, t)
-    for b in config.b:
-        out = out * _nodal_row(b, t)
-    return out
+    prefactor = _strata_prefactor(surf.eS - surf.eB + n, surf.eB - n - m, surf.eB, t)
+    return prefactor * _point_product(config.a, config.b, True, t)
+
+
+@memoized
+def _point_product(a, b, rows, t):
+    """prod g(a_i) * prod h(b_j), or with rows the same product of the smooth and
+    nodal rows; each product is its prefix (one point fewer) times one factor."""
+    if b:
+        factor = (_nodal_row if rows else _nodal_weight)(b[-1], t)
+        return _point_product(a, b[:-1], rows, t) * factor
+    if a:
+        factor = (_smooth_row if rows else _smooth_weight)(a[-1], t)
+        return _point_product(a[:-1], b, rows, t) * factor
+    return PQSeries.one(0)
 
 
 @memoized
@@ -307,7 +316,12 @@ def dt_hat(surf, q_order, order, side="product", p_window=None, cache=None):
         return out
     if side != "product":
         raise ValueError("side must be 'sum' or 'product'")
-    pw = _window(p_window, order)
+    return _dt_hat_product(surf, q_order, _window(p_window, order))
+
+
+@memoized
+def _dt_hat_product(surf, q_order, pw):
+    """The product side of dt_hat, s1^eS * s2^eB."""
     s1, s2 = _dt_hat_units(q_order, pw)
     return power(s1, surf.eS) * power(s2, surf.eB)
 
@@ -331,7 +345,12 @@ def dt_fib(surf, q_order, order, side="product", p_window=None, cache=None):
         return out
     if side != "product":
         raise ValueError("side must be 'sum' or 'product'")
-    pw = _window(p_window, order)
+    return _dt_fib_product(surf, q_order, _window(p_window, order))
+
+
+@memoized
+def _dt_fib_product(surf, q_order, pw):
+    """The product side of dt_fib, {M(p) prod_d M(p,q^d)}^eS * {prod_d (1-q^d)^(-1)}^eB."""
     return power(_dt_fib_unit(q_order, pw), surf.eS) * power(_inverse_euler(q_order, pw), surf.eB)
 
 
@@ -344,9 +363,7 @@ def connected(surf, q_order, order, side="ratio", p_window=None, cache=None):
     """
     pw = _window(p_window, order)
     if side == "ratio":
-        num = dt_hat(surf, q_order, order, "product", pw, cache)
-        den = dt_fib(surf, q_order, order, "product", pw, cache)
-        return num * invert(den)
+        return _dt_hat_product(surf, q_order, pw) * invert(_dt_fib_product(surf, q_order, pw))
     if side != "jacobi":
         raise ValueError("side must be 'ratio' or 'jacobi'")
     ep = euler_product(q_order, pw)
@@ -377,27 +394,43 @@ def symprod_check(g_table, e, q_order):
 
     Each term is built from its parent, the partition without its last
     (smallest) part j, which has a lower degree and so comes first: the
-    product gains the factor g(j), and the coefficient e(e-1)...(e-M+1)/prod m_i!
-    gains (e - M')/m_j, with M' the parent's number of parts.
+    coefficient e(e-1)...(e-M+1)/prod m_i! gains (e - M')/m_j, with M' the
+    parent's number of parts.  The products do not depend on e, so they come
+    from _symprod_products, built once per table.
     """
     table = {int(a): hl for a, hl in g_table.items()}
-    terms = {(): (HalfLaurent({0: 1}), 1)}  # parts -> (prod g(j), coefficient)
+    weights = [table.get(a, HalfLaurent()) for a in range(1, q_order + 1)]
+    key = tuple((a, tuple(w.items())) for a, w in enumerate(weights, 1) if not w.is_zero())
+    products = _symprod_products(key, q_order)
+    coeffs = {(): 1}  # parts -> multinomial coefficient
     lhs_rows = [HalfLaurent({0: 1})]
     for d in range(1, q_order + 1):
         acc = HalfLaurent()
         for lam in enumerate_partitions(d):
             parent, j = lam.parts[:-1], lam.parts[-1]
-            prod, coeff = terms[parent]
-            prod = prod * table.get(j, HalfLaurent())
-            coeff = coeff * (e - len(parent)) // lam.parts.count(j)
-            terms[lam.parts] = prod, coeff
-            acc = acc + prod.scale(coeff)
+            coeff = coeffs[parent] * (e - len(parent)) // lam.parts.count(j)
+            coeffs[lam.parts] = coeff
+            acc = acc + products[lam.parts].scale(coeff)
         lhs_rows.append(acc)
     lhs = PQSeries.exact(lhs_rows)
-    base = PQSeries.exact(
-        [HalfLaurent({0: 1})] + [table.get(a, HalfLaurent()) for a in range(1, q_order + 1)]
-    )
+    base = PQSeries.exact([HalfLaurent({0: 1})] + weights)
     return compare(lhs, power(base, e))
+
+
+@memoized
+def _symprod_products(key, q_order):
+    """parts -> prod g(j) over the parts, for every partition of degree <= q_order.
+
+    key is the table's nonzero weights g(a), a <= q_order, as (a, sorted terms).
+    Each product is its parent's (the partition without its last part j) times g(j).
+    """
+    table = {a: HalfLaurent(terms) for a, terms in key}
+    products = {(): HalfLaurent({0: 1})}
+    for d in range(1, q_order + 1):
+        for lam in enumerate_partitions(d):
+            weight = table.get(lam.parts[-1], HalfLaurent())
+            products[lam.parts] = products[lam.parts[:-1]] * weight
+    return products
 
 
 # ---------------------------------------------------------------------------

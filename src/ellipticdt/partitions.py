@@ -98,14 +98,12 @@ BOX = Partition((1,))
 
 
 @lru_cache(maxsize=None)
-def _partition_tuples(n):
+def _partitions(n):
+    """The partitions of n as Partition objects, built once per process."""
     # Descending (reverse-lexicographic) generation: each step decrements the
     # last part >1 and refills greedily.
-    if n == 0:
-        return ((),)
-    out = []
-    r = (n,)
-    out.append(r)
+    r = (n,) if n else ()
+    out = [Partition(r)]
     while True:
         i = len(r) - 1
         while i >= 0 and r[i] == 1:
@@ -118,11 +116,11 @@ def _partition_tuples(n):
             nxt = min(r[-1], rest)
             r += (nxt,)
             rest -= nxt
-        out.append(r)
+        out.append(Partition(r))
 
 
 def enumerate_partitions(n):
-    """All partitions of n, in reverse-lexicographic order on the parts."""
+    """All partitions of n, in reverse-lexicographic order on the parts; a new list each call."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return [Partition(t) for t in _partition_tuples(n)]
+    return list(_partitions(n))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ellipticdt.cli import SURFACE_PAIRS
+from ellipticdt.cli import SURFACE_PAIRS, point_configs
 from ellipticdt.dtseries import (
     F1F2,
     PointConfig,
@@ -495,6 +495,62 @@ def test_memo_never_changes_a_result():
         rng.shuffle(names)
         for name in names:
             assert builds[name]() == reference[name], name
+
+
+def test_symprod_products_shared_across_exponents_never_change_a_result():
+    rng = random.Random(5)
+    first = {
+        a: HalfLaurent({2 * rng.randint(-2, 2): rng.randint(-5, 5) for _ in range(3)})
+        for a in range(1, 6)
+    }
+    first[3] = HalfLaurent()  # an explicit zero weight
+    second = dict(first, **{"2": first[2] + HalfLaurent({0: 1})})  # a str key, read as g(2)
+    tables = {"first": first, "second": second}
+    cold = {}
+    for name, table in tables.items():
+        for e in range(-3, 4):
+            clear_memo()
+            rep = symprod_check(table, e, 5)
+            cold[name, e] = rep.side_a, rep.side_b
+    clear_memo()
+    for e in range(3, -4, -1):  # all in one memo, the products built at e = 3
+        for name, table in tables.items():
+            rep = symprod_check(table, e, 5)
+            assert (rep.side_a, rep.side_b) == cold[name, e], (name, e)
+
+
+def test_ratio_from_shared_product_sides_never_changes_a_result():
+    q_order, order = 3, 6
+    want = {}
+    for eb, es in SURFACE_PAIRS:
+        surf = SurfaceData(eb, es)
+        clear_memo()
+        num = dt_hat(surf, q_order, order, "product")
+        clear_memo()
+        den = dt_fib(surf, q_order, order, "product")
+        want[surf] = num * invert(den)
+        clear_memo()
+        assert connected(surf, q_order, order, "ratio") == want[surf], surf
+    clear_memo()
+    for surf in want:  # the product sides first, as in check all, all in one memo
+        dt_hat(surf, q_order, order, "product")
+        dt_fib(surf, q_order, order, "product")
+        assert connected(surf, q_order, order, "ratio") == want[surf], surf
+
+
+def test_f_d_point_products_never_change_a_result():
+    surf, order = SurfaceData(2, 12), 6
+    configs = point_configs(3)
+    cold = {}
+    for pc in configs:
+        for mode in ("factored", "strata"):
+            clear_memo()
+            cold[pc, mode] = f_d_series(pc, surf, order, mode)
+    for ordered in (configs, configs[::-1]):  # prefixes built first, then as by-products
+        clear_memo()
+        for pc in ordered:
+            for mode in ("factored", "strata"):
+                assert f_d_series(pc, surf, order, mode) == cold[pc, mode], (pc, mode)
 
 
 def test_memo_still_writes_each_cache_directory(tmp_path):

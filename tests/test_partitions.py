@@ -61,6 +61,15 @@ def test_enumeration_against_recursive_oracle():
         assert len(enumerate_partitions(n)) == len(want)
 
 
+def test_enumeration_returns_a_new_list_each_call():
+    """The Partition objects are cached per n; the list a caller gets is its own."""
+    got = enumerate_partitions(4)
+    got.append(Partition([5]))
+    enumerate_partitions(3).clear()
+    assert [p.parts for p in enumerate_partitions(4)] == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert len(enumerate_partitions(3)) == 3
+
+
 def test_counts_match_generating_function():
     numbers = partition_numbers(12)
     for n in range(13):

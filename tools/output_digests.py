@@ -14,6 +14,9 @@ show there.  For the same reason 21 lines digest both sides of
 ``dtseries.symprod_check`` at q^6 and every exponent from -3 to 3, one line
 per weight table that ``check all --seed 1`` checks: the constant table, then
 the 20 tables ``cli._random_g_table`` draws from ``random.Random(1)``.
+One line per surface in ``cli.FD_PAIRS`` digests the ``f_d_compare`` JSON of
+every ``cli.point_configs(4)`` configuration at p-order 12, both f_d modes
+with their windows.
 Running the script in two checkouts and diffing the outputs shows every
 command whose printed bytes changed.
 """
@@ -90,6 +93,16 @@ def symprod_digest(table):
     return code, hashlib.sha256(text.encode()).hexdigest()
 
 
+def fd_digest(eB, eS):
+    """(0 if every configuration is equal else 2, sha256 of every f_d_compare JSON at p^12)."""
+    vertex.clear_memo()
+    surf = dtseries.SurfaceData(eB, eS)
+    reports = [dtseries.f_d_compare(pc, surf, 12) for pc in cli.point_configs(4)]
+    text = json.dumps([rep.to_json_dict() for rep in reports], sort_keys=True)
+    code = 0 if all(rep.equal for rep in reports) else 2
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
 def main():
     for argv in commands():
         code, sha = digest(argv)
@@ -100,6 +113,9 @@ def main():
     for name, table in symprod_tables():
         code, sha = symprod_digest(table)
         print(code, sha, "symprod_check %s 6 e=-3..3" % name, flush=True)
+    for eB, eS in cli.FD_PAIRS:
+        code, sha = fd_digest(eB, eS)
+        print(code, sha, "f_d_compare eB=%+d eS=%d point_configs(4) 12" % (eB, eS), flush=True)
 
 
 if __name__ == "__main__":
