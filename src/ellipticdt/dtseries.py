@@ -12,12 +12,14 @@ product forms rest on.
 All p-exponents are in half-units (see series module).
 
 The surface-independent building blocks (vertex rows and weights, F1 and F2,
-the product factors and the unit products raised to Euler-characteristic
-powers) go through vertex.memoized, the one in-process memo keyed by (builder,
-arguments), so one `check all` builds each of them once; vertex.clear_memo()
-drops them with the vertex records.  Three more products are shared the same
+the powers of V~(empty) and V~(box) in the prefactors, the product factors
+and the unit products raised to Euler-characteristic powers) go through
+vertex.memoized, the one in-process memo keyed by (builder, arguments), so one
+`check all` builds each of them once; vertex.clear_memo() drops them with the
+vertex records.  Three more products are shared the same
 way: the symmetric-product terms of a weight table (_symprod_products), built
-once for every exponent symprod_check checks; the product sides of dt_hat and
+once for every exponent symprod_check checks and held for the latest table
+only (vertex.memoized_latest); the product sides of dt_hat and
 dt_fib (_dt_hat_product, _dt_fib_product), which connected's ratio reuses; and
 the point products of f_d_series (_point_product), each built from its prefix.
 """
@@ -42,7 +44,7 @@ from .series import (
     substitute_neg_p,
     theta,
 )
-from .vertex import LegConfig, memoized, tilde_vertex
+from .vertex import LegConfig, memoized, memoized_latest, tilde_vertex
 
 
 @dataclass(frozen=True)
@@ -229,16 +231,21 @@ def _point_product(a, b, rows, t):
 
 @memoized
 def _factored_prefactor(eB, eS, t):
-    """F1^eB * F2^eS."""
-    f1, f2 = F1F2(t.order, t.cache)
-    return power(f1, eB) * power(f2, eS)
+    """F1^eB * F2^eS, with F2 = V~(empty)."""
+    f1, _ = F1F2(t.order, t.cache)
+    return power(f1, eB) * _leg_power(EMPTY, eS, t)
 
 
 @memoized
 def _strata_prefactor(x, y, eB, t):
     """V~(empty)^x * V~(box)^y * p^(eB/2), eB/2 being the Euler characteristic of the base."""
-    out = power(t(EMPTY, EMPTY, EMPTY), x) * power(t(BOX, EMPTY, EMPTY), y)
-    return out.shift_p(eB)
+    return (_leg_power(EMPTY, x, t) * _leg_power(BOX, y, t)).shift_p(eB)
+
+
+@memoized
+def _leg_power(lam, e, t):
+    """V~(lam, empty, empty)^e, shared by the prefactors that raise it to the same power."""
+    return power(t(lam, EMPTY, EMPTY), e)
 
 
 def f_d_compare(config, surf, order, cache=None):
@@ -417,12 +424,14 @@ def symprod_check(g_table, e, q_order):
     return compare(lhs, power(base, e))
 
 
-@memoized
+@memoized_latest
 def _symprod_products(key, q_order):
     """parts -> prod g(j) over the parts, for every partition of degree <= q_order.
 
     key is the table's nonzero weights g(a), a <= q_order, as (a, sorted terms).
     Each product is its parent's (the partition without its last part j) times g(j).
+    Only the latest table's products are held: its exponents are checked one
+    after another, so memory stays bounded by one table however many are checked.
     """
     table = {a: HalfLaurent(terms) for a, terms in key}
     products = {(): HalfLaurent({0: 1})}

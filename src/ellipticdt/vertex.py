@@ -14,7 +14,11 @@ sliced in Okounkov-Reshetikhin-Vafa (hep-th/0306032).  Each state is one 2D
 ideal J together with the size polynomial of the ideals cut off at height tau
 whose top slice is J, and the 2D ideals of each slice are enumerated
 exhaustively.  Only this counting is taken
-from the slicing picture; no Schur-function formula is used.
+from the slicing picture; no Schur-function formula is used.  A size
+polynomial is packed into one int with a fixed number of bits per
+coefficient; that width is one bit more than C(N + order, order) needs, N
+the number of candidate boxes, which bounds every coefficient (see
+_slice_counts).
 
 Vertex records and the dtseries building blocks share one in-process memo,
 keyed by (builder, arguments) with the cache directory included.
@@ -35,6 +39,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import wraps
+from math import comb
 
 from .partitions import Partition
 from .series import HalfLaurent, PQSeries
@@ -157,6 +162,12 @@ def _candidate_poset(cfg, order):
     an order ideal of P.  Down-set sizes are computed by inclusion-exclusion
     dynamic programming over a bounding box in which every coordinate chain
     below a candidate meets at most the listed number of leg boxes.
+
+    A tau-row (rho, sigma, *) meets P in a tail: it lies in leg 3 when
+    rho < nu[sigma], and otherwise leaves leg 2 at tau = mu[rho] and leg 1 at
+    the column height of lam at sigma.  Down-set sizes grow along each axis, so
+    a row ends at its first size above `order`, and no later row goes past the
+    rows below and behind it.
     """
     lam, mu, nu = cfg.lam, cfg.mu, cfg.nu
     # A rho-chain below a box of P meets at most len(mu) leg-2 boxes (tau < mu[rho'])
@@ -164,20 +175,31 @@ def _candidate_poset(cfg, order):
     nr = order + mu.length() + nu.first_part()
     ns = order + lam.first_part() + nu.length()
     nt = order + lam.length() + mu.first_part()
+    mu_rows = list(mu.parts) + [0] * (nr - mu.length())
+    lam_cols = list(lam.conjugate().parts) + [0] * (ns - lam.first_part())
+    nu_rows = list(nu.parts) + [0] * (ns - nu.length())
     # down[r + 1][s + 1][t + 1] is the down-set size of (r, s, t); index 0 is a zero border
     down = [[[0] * (nt + 1) for _ in range(ns + 1)] for _ in range(nr + 1)]
+    ends = [nt] * ns  # ends[sigma]: the row (rho - 1, sigma) stopped there
     cands = []
     for rho in range(nr):
         lower, plane = down[rho], down[rho + 1]  # planes rho - 1 and rho
+        end = nt
         for sigma in range(ns):
+            end = min(end, ends[sigma])
+            start = max(mu_rows[rho], lam_cols[sigma]) if rho >= nu_rows[sigma] else end
             l0, l1, p0, p1 = lower[sigma], lower[sigma + 1], plane[sigma], plane[sigma + 1]
-            for tau in range(nt):
-                in_p = cfg.in_legs(rho, sigma, tau) == 0
+            for tau in range(end):
+                in_p = tau >= start
                 v = (in_p + l1[tau + 1] + p0[tau + 1] + p1[tau]
                      - l0[tau + 1] - l1[tau] - p0[tau] + l0[tau])
+                if v > order:
+                    end = tau
+                    break
                 p1[tau + 1] = v
-                if in_p and v <= order:
+                if in_p:
                     cands.append((rho, sigma, tau))
+            ends[sigma] = end
     return cands
 
 
@@ -192,11 +214,22 @@ def _slice_counts(cands, order):
     in P" reads "not a candidate" here.  A transfer-matrix state is one J_tau,
     a bitmask over the slice's sorted boxes, mapped to the size polynomial
     (truncated at `order`) of all ideals ending in it.
+
+    A size polynomial is packed into one int, coefficient n in bits
+    [n*width, (n+1)*width).  Coefficient n of any state, of any sum of states
+    and of the final counts counts distinct n-box subsets of the candidates,
+    so it is at most C(N, n) <= C(N + n, n) <= C(N + order, order) with
+    N = len(cands); width has one bit to spare above that bound, so no sum
+    carries into the next coefficient.  Merging two states is then one
+    addition, and extending a state by a k-box slice ideal is a shift by
+    k*width with the coefficients above `order` masked off.
     """
     slices = {}
     for rho, sigma, tau in cands:  # sorted, so each slice comes out sorted
         slices.setdefault(tau, []).append((rho, sigma))
-    states = {0: [1] + [0] * order}
+    width = comb(len(cands) + order, order).bit_length() + 1
+    full = (1 << (order + 1) * width) - 1
+    states = {0: 1}
     below = {}  # (rho, sigma) -> bit of that box in the slice underneath
     for tau in range(max(slices, default=-1) + 1):
         cells = slices.get(tau, [])
@@ -220,26 +253,15 @@ def _slice_counts(cands, order):
             for b, m in lifts:
                 if ideal >> b & 1:
                     allowed |= m
-            acc = by_allowed.get(allowed)
-            if acc is None:
-                by_allowed[allowed] = poly
-            else:
-                by_allowed[allowed] = [a + c for a, c in zip(acc, poly)]
+            by_allowed[allowed] = by_allowed.get(allowed, 0) + poly
         states = {}
         for allowed, poly in by_allowed.items():
-            low = next(n for n, c in enumerate(poly) if c)
+            low = ((poly & -poly).bit_length() - 1) // width  # the lowest nonzero size
             for ideal, k in _slice_ideals(preds, succs, allowed, order - low):
-                acc = states.get(ideal)
-                if acc is None:
-                    states[ideal] = acc = [0] * (order + 1)
-                for n in range(low, order + 1 - k):
-                    acc[n + k] += poly[n]
+                states[ideal] = states.get(ideal, 0) + ((poly << k * width) & full)
         below = bit
-    counts = [0] * (order + 1)
-    for poly in states.values():
-        for n, c in enumerate(poly):
-            counts[n] += c
-    return counts
+    total = sum(states.values())
+    return [total >> n * width & (1 << width) - 1 for n in range(order + 1)]
 
 
 def _slice_ideals(preds, succs, allowed, cap):
@@ -272,7 +294,9 @@ def _slice_ideals(preds, succs, allowed, cap):
                 stack.append((grown, opened, k))
 
 
-_MEMO = {}  # (builder, arguments) -> result, until clear_memo()
+# (builder, arguments) -> result, and builder -> (arguments, result) for a
+# memoized_latest builder, until clear_memo()
+_MEMO = {}
 
 
 def memoized(build):
@@ -290,6 +314,23 @@ def memoized(build):
         if out is None:
             out = _MEMO[key] = build(*args)
         return out
+
+    return cached
+
+
+def memoized_latest(build):
+    """Like memoized, but hold only the result of the latest arguments.
+
+    For a builder whose callers make all calls with one argument tuple in a
+    row: the memo then holds one of its results at a time.
+    """
+
+    @wraps(build)
+    def cached(*args):
+        held = _MEMO.get(build)
+        if held is None or held[0] != args:
+            held = _MEMO[build] = (args, build(*args))
+        return held[1]
 
     return cached
 

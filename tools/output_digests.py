@@ -17,6 +17,9 @@ the 20 tables ``cli._random_g_table`` draws from ``random.Random(1)``.
 One line per surface in ``cli.FD_PAIRS`` digests the ``f_d_compare`` JSON of
 every ``cli.point_configs(4)`` configuration at p-order 12, both f_d modes
 with their windows.
+The last line digests ``tilde_vertex(cfg, 8).counts`` of every leg
+configuration with |lam| + |mu| + |nu| <= 4, the third leg included, which
+no command above sets.
 Running the script in two checkouts and diffing the outputs shows every
 command whose printed bytes changed.
 """
@@ -24,10 +27,12 @@ command whose printed bytes changed.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 
 from ellipticdt import cli, dtseries, series, vertex
+from ellipticdt.partitions import enumerate_partitions
 from ellipticdt.series import HalfLaurent
 
 FORMATS = ("pretty", "json", "csv")
@@ -103,6 +108,18 @@ def fd_digest(eB, eS):
     return code, hashlib.sha256(text.encode()).hexdigest()
 
 
+def vertex_counts_digest(max_size, order):
+    """(0, sha256 of the counts of every leg configuration of total size <= max_size)."""
+    vertex.clear_memo()
+    parts = [lam for n in range(max_size + 1) for lam in enumerate_partitions(n)]
+    rows = [
+        [cfg.canonical_key(order), [str(c) for c in vertex.tilde_vertex(cfg, order).counts]]
+        for cfg in itertools.starmap(vertex.LegConfig, itertools.product(parts, repeat=3))
+        if cfg.total_size() <= max_size
+    ]
+    return 0, hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
 def main():
     for argv in commands():
         code, sha = digest(argv)
@@ -116,6 +133,8 @@ def main():
     for eB, eS in cli.FD_PAIRS:
         code, sha = fd_digest(eB, eS)
         print(code, sha, "f_d_compare eB=%+d eS=%d point_configs(4) 12" % (eB, eS), flush=True)
+    code, sha = vertex_counts_digest(4, 8)
+    print(code, sha, "tilde_vertex counts |lam|+|mu|+|nu|<=4 8", flush=True)
 
 
 if __name__ == "__main__":
