@@ -28,13 +28,13 @@ CACHE_ENV = "ELLIPTICDT_CACHE"
 SURFACE_PAIRS = ((2, 24), (0, 12), (-2, 12), (2, 12))
 FD_PAIRS = ((2, 12), (2, 24))
 
-# command -> (name of its dtseries function, the function's two sides).  The
-# function is looked up on dtseries at each call, never stored, so a wrapper
-# set on the module attribute after import sees every call.
+# command -> (name of its dtseries function, the function's two sides, the
+# command's help).  The function is looked up on dtseries at each call, never
+# stored, so a wrapper set on the module attribute after import sees every call.
 COMPARISONS = {
-    "dt": ("dt_hat", ("sum", "product")),
-    "dtfib": ("dt_fib", ("sum", "product")),
-    "connected": ("connected", ("ratio", "jacobi")),
+    "dt": ("dt_hat", ("sum", "product"), "section-class partition function, sum and/or product side"),
+    "dtfib": ("dt_fib", ("sum", "product"), "fiber-class partition function, sum and/or product side"),
+    "connected": ("connected", ("ratio", "jacobi"), "connected series, ratio and/or Jacobi-form side"),
 }
 
 
@@ -195,7 +195,7 @@ def _cmd_compare(ns, out, command=None, built=None, tail=(), **extra):
     caller to its series; tail lines end the pretty output; extra keys go
     into the JSON report.
     """
-    fn_name, sides = COMPARISONS[command or ns.command]
+    fn_name, sides, _ = COMPARISONS[command or ns.command]
     surf = dtseries.SurfaceData(ns.eB, ns.eS)
     cache = _cache(ns)
 
@@ -350,7 +350,7 @@ def suite(q_order, p_order, p_window, cache, seed, random_tables):
 
     for eB, eS in SURFACE_PAIRS:
         surf = dtseries.SurfaceData(eB, eS)
-        for command, (fn_name, sides) in COMPARISONS.items():
+        for command, (fn_name, sides, _) in COMPARISONS.items():
             fn = getattr(dtseries, fn_name)
             a, b = (fn(surf, q_order, p_order, side, p_window, cache) for side in sides)
             yield _compared("%s-cross-eB%+d-eS%d" % (command, eB, eS), a, b)
@@ -437,67 +437,53 @@ def build_parser():
 
     p = sub.add_parser("vertex", help="normalized vertex for a leg triple")
     p.add_argument("--legs", type=_parse_legs, required=True, help='three ";"-separated partitions, e.g. "2,1;;"')
+    p.set_defaults(run=_cmd_vertex)
     common(p, q_order=False)
 
-    for name, hlp in (
-        ("dt", "section-class partition function, sum and/or product side"),
-        ("dtfib", "fiber-class partition function, sum and/or product side"),
-    ):
-        p = sub.add_parser(name, help=hlp)
-        p.add_argument("--side", choices=("sum", "product", "both"), default="both")
+    for command, (_, sides, hlp) in COMPARISONS.items():
+        p = sub.add_parser(command, help=hlp)
+        p.add_argument("--side", choices=sides + ("both",), default="both")
+        p.set_defaults(run=_cmd_compare)
         common(p, eb_es=True, window=True)
 
-    p = sub.add_parser("connected", help="connected series, ratio and/or Jacobi-form side")
-    p.add_argument("--side", choices=("ratio", "jacobi", "both"), default="both")
-    common(p, eb_es=True, window=True)
-
     p = sub.add_parser("kkv", help="connected series of the K3 case (eB=2, eS=24)")
-    p.add_argument("--side", choices=("ratio", "jacobi", "both"), default="both")
-    p.set_defaults(eB=2, eS=24)
+    p.add_argument("--side", choices=COMPARISONS["connected"][1] + ("both",), default="both")
+    p.set_defaults(eB=2, eS=24, run=_cmd_kkv)
     common(p, window=True)
 
     p = sub.add_parser("fd", help="pushforward weight at a point configuration, both modes")
     p.add_argument("--smooth", type=_parse_int_list, default="", help="comma list of smooth-point multiplicities")
     p.add_argument("--nodal", type=_parse_int_list, default="", help="comma list of nodal-point multiplicities")
+    p.set_defaults(run=_cmd_fd)
     common(p, q_order=False, eb_es=True)
 
     p = sub.add_parser("tangent", help="deformation data for a thickened comb curve")
     p.add_argument("--smooth-fibers", type=_parse_partition_list, default="", help='";"-separated partitions')
     p.add_argument("--nodal-fibers", type=_parse_partition_list, default="", help='";"-separated partitions')
     p.add_argument("--arrows", action="store_true", help="list the arrow basis")
+    p.set_defaults(run=_cmd_tangent)
     common(p, q_order=False, p_order=False, cache=False, eb_es=True)
 
     p = sub.add_parser("symprod-check", help="symmetric-product expansion checks")
     p.add_argument("--exponent", type=int, default=None)
     p.add_argument("--random", type=int, default=20, dest="random_tables")
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=_cmd_symprod)
     common(p, p_order=False, cache=False)
 
     p = sub.add_parser("check", help="run the identity suite")
     p.add_argument("what", nargs="?", default="all", choices=("all",))
     p.add_argument("--random", type=int, default=20, dest="random_tables")
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=_cmd_check)
     common(p, window=True)
 
     return parser
 
 
-DISPATCH = {
-    "vertex": _cmd_vertex,
-    "dt": _cmd_compare,
-    "dtfib": _cmd_compare,
-    "connected": _cmd_compare,
-    "kkv": _cmd_kkv,
-    "fd": _cmd_fd,
-    "tangent": _cmd_tangent,
-    "symprod-check": _cmd_symprod,
-    "check": _cmd_check,
-}
-
-
 def dispatch(ns, out=None):
-    out = out or sys.stdout
-    return DISPATCH[ns.command](ns, out)
+    """Run the handler that build_parser bound to ns's command."""
+    return ns.run(ns, out or sys.stdout)
 
 
 def main(argv=None):

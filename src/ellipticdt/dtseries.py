@@ -14,9 +14,9 @@ All p-exponents are in half-units (see series module).
 The surface-independent building blocks (vertex rows and weights, F1 and F2,
 the powers of V~(empty) and V~(box) in the prefactors, the product factors
 and the unit products raised to Euler-characteristic powers) go through
-vertex.memoized, the one in-process memo keyed by (builder, arguments), so one
-`check all` builds each of them once; vertex.clear_memo() drops them with the
-vertex records.  Three more products are shared the same
+vertex.memoized, which gives each builder its own lru_cache keyed by its
+arguments, so one `check all` builds each of them once; vertex.clear_memo()
+drops them with the vertex records.  Three more products are shared the same
 way: the symmetric-product terms of a weight table (_symprod_products), built
 once for every exponent symprod_check checks and held for the latest table
 only (vertex.memoized_latest); the product sides of dt_hat and

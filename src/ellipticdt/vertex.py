@@ -20,8 +20,9 @@ coefficient; that width is one bit more than C(N + order, order) needs, N
 the number of candidate boxes, which bounds every coefficient (see
 _slice_counts).
 
-Vertex records and the dtseries building blocks share one in-process memo,
-keyed by (builder, arguments) with the cache directory included.
+Vertex records and the dtseries building blocks are memoized in process, each
+builder in its own functools.lru_cache keyed by its arguments (the cache
+directory included); clear_memo() empties them all.
 
 Box membership convention (shared with partitions.Partition.contains):
 a box (rho, sigma, tau) lies in
@@ -38,7 +39,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import wraps
+from functools import lru_cache
 from math import comb
 
 from .partitions import Partition
@@ -294,27 +295,19 @@ def _slice_ideals(preds, succs, allowed, cap):
                 stack.append((grown, opened, k))
 
 
-# (builder, arguments) -> result, and builder -> (arguments, result) for a
-# memoized_latest builder, until clear_memo()
-_MEMO = {}
+_MEMOS = []  # every memoized builder's lru_cache, each emptied by clear_memo()
 
 
 def memoized(build):
-    """Serve repeated calls of a pure builder from the memo.
+    """Serve repeated calls of a pure builder from its own cache until clear_memo().
 
-    The key is the builder and its positional arguments, all hashable.  A
-    VertexCache compares by directory, so a call with another cache directory
-    builds again and reads or writes that directory.
+    The key is the builder's arguments, all hashable.  A VertexCache compares
+    by absolute directory, so a call with another cache directory builds again
+    and reads or writes that directory.  cache_info() counts the calls served
+    from memory (hits) and the builds (misses).
     """
-
-    @wraps(build)
-    def cached(*args):
-        key = (build, args)
-        out = _MEMO.get(key)
-        if out is None:
-            out = _MEMO[key] = build(*args)
-        return out
-
+    cached = lru_cache(maxsize=None)(build)
+    _MEMOS.append(cached)
     return cached
 
 
@@ -324,23 +317,19 @@ def memoized_latest(build):
     For a builder whose callers make all calls with one argument tuple in a
     row: the memo then holds one of its results at a time.
     """
-
-    @wraps(build)
-    def cached(*args):
-        held = _MEMO.get(build)
-        if held is None or held[0] != args:
-            held = _MEMO[build] = (args, build(*args))
-        return held[1]
-
+    cached = lru_cache(maxsize=1)(build)
+    _MEMOS.append(cached)
     return cached
 
 
 def clear_memo():
     """Drop the in-process memo: vertex records and the dtseries building blocks
     (disk caches are unaffected)."""
-    _MEMO.clear()
+    for cached in _MEMOS:
+        cached.cache_clear()
 
 
+@dataclass(frozen=True)
 class VertexCache:
     """Directory of JSON vertex records keyed by the canonical leg/order string.
 
@@ -348,17 +337,14 @@ class VertexCache:
     concurrent identical computations race benignly.  IO failures, and records
     whose legs, order, counts or minimal volume do not fit the key, are treated
     as cache misses, so a damaged or misplaced file never changes a result.
-    Two caches on the same directory are equal.
+    The directory is held as an absolute path, so two caches are equal when
+    they name the same directory, whatever the working directory was.
     """
 
-    def __init__(self, directory):
-        self.directory = str(directory)
+    directory: str
 
-    def __eq__(self, other):
-        return isinstance(other, VertexCache) and self.directory == other.directory
-
-    def __hash__(self):
-        return hash(self.directory)
+    def __post_init__(self):
+        object.__setattr__(self, "directory", os.path.abspath(self.directory))
 
     def _path(self, key):
         return os.path.join(self.directory, key.replace("|", "_") + ".json")

@@ -389,6 +389,33 @@ def test_check_all_passes_repeat_their_work_after_clear_memo(tmp_path, capsys, m
     assert passes[1]["tilde_vertex"] > len(legs)  # repeated vertices are memo hits
 
 
+def test_clear_memo_empties_every_memo(capsys):
+    """A cache that clear_memo() missed would make every later benchmark pass run warm."""
+    memos = [
+        fn for mod in (vertex, dtseries) for fn in vars(mod).values() if hasattr(fn, "cache_info")
+    ]
+    assert all(fn in vertex._MEMOS for fn in memos)
+    code, _, _ = run(capsys, "check", "all", "--q-order", "2", "--p-order", "5")
+    assert code == 0
+    assert vertex._record.cache_info().currsize > 0
+    vertex.clear_memo()
+    assert [fn.cache_info().currsize for fn in memos] == [0] * len(memos)
+
+
+def test_record_memo_counts_its_hits(tmp_path, capsys, monkeypatch):
+    """The record memo's own counts: a miss per record written, a hit per other call."""
+    counts = {}
+    _count_calls(monkeypatch, dtseries, "tilde_vertex", counts, "tilde_vertex")
+    vertex.clear_memo()
+    argv = ("check", "all", "--q-order", "3", "--p-order", "6", "--cache-dir", str(tmp_path))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    info = vertex._record.cache_info()
+    assert info.misses == len(list(tmp_path.glob("*.json")))
+    assert info.hits + info.misses == counts["tilde_vertex"]
+    assert info.hits > 0
+
+
 def _frozen_commands():
     cmds = [
         ("check", "all", "--q-order", "3", "--p-order", "7"),

@@ -21,6 +21,7 @@ from ellipticdt.dtseries import (
     identity_b,
     identity_c,
     symprod_check,
+    _symprod_products,
 )
 from ellipticdt.series import (
     HalfLaurent,
@@ -517,6 +518,16 @@ def test_symprod_products_shared_across_exponents_never_change_a_result():
         for name, table in tables.items():
             rep = symprod_check(table, e, 5)
             assert (rep.side_a, rep.side_b) == cold[name, e], (name, e)
+
+
+def test_symprod_products_hold_one_table():
+    """The products of the latest table only, however many tables are checked."""
+    clear_memo()
+    for shift in (0, 2):
+        table = {a: HalfLaurent({shift: a}) for a in range(1, 5)}
+        symprod_check(table, 2, 4)
+    info = _symprod_products.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (1, 1, 2)
 
 
 def test_ratio_from_shared_product_sides_never_changes_a_result():

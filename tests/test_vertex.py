@@ -275,6 +275,19 @@ def test_memo_hit_reads_each_cache_key_once(tmp_path, monkeypatch):
     assert gets == [4, 4] and os.path.exists(path)  # clear_memo() forgets what was written
 
 
+def test_memo_writes_a_relative_cache_directory_after_chdir(tmp_path, monkeypatch):
+    """A relative directory names another directory in another working
+    directory, so the same call there is no memo hit and writes its record."""
+    cfg = legs((1,), (), ())
+    clear_memo()
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        tilde_vertex(cfg, 4, VertexCache("c"))
+    for name in ("first", "second"):
+        assert os.listdir(str(tmp_path / name / "c")) == ["1___4.json"], name
+
+
 def test_cache_corruption_is_a_miss(tmp_path):
     cache = VertexCache(tmp_path)
     cfg = legs((1, 1), (), ())

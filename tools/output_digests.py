@@ -1,8 +1,12 @@
 """Print the exit code and stdout sha256 of a fixed list of ellipticdt commands.
 
-Run from a checkout with the package importable, for example
+Run from a checkout, for example
 
-    PYTHONPATH=src python tools/output_digests.py > digests.txt
+    python tools/output_digests.py > digests.txt
+
+The script puts its own checkout's ``src`` first on ``sys.path``, so each
+checkout digests its own code even when another copy of the package is
+installed; the path of the imported package goes to stderr.
 
 Each command runs in-process through ``cli.main`` after
 ``vertex.clear_memo()``, so it starts as cold as a fresh CLI process.  One
@@ -30,10 +34,15 @@ import io
 import itertools
 import json
 import random
+import sys
+from pathlib import Path
 
-from ellipticdt import cli, dtseries, series, vertex
-from ellipticdt.partitions import enumerate_partitions
-from ellipticdt.series import HalfLaurent
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import ellipticdt  # noqa: E402
+from ellipticdt import cli, dtseries, series, vertex  # noqa: E402
+from ellipticdt.partitions import enumerate_partitions  # noqa: E402
+from ellipticdt.series import HalfLaurent  # noqa: E402
 
 FORMATS = ("pretty", "json", "csv")
 
@@ -121,6 +130,7 @@ def vertex_counts_digest(max_size, order):
 
 
 def main():
+    sys.stderr.write("digesting %s\n" % ellipticdt.__file__)
     for argv in commands():
         code, sha = digest(argv)
         print(code, sha, " ".join(argv), flush=True)
