@@ -49,12 +49,10 @@ def euler_data(surf):
     """Holomorphic Euler characteristics and section normal-bundle sections.
 
     Requires eS > 0 and divisible by 12 (so chi(O_S) = eS/12 is an integer)
-    and even eB (so chi(O_B) = eB/2 is one too).
+    and even eB (so chi(O_B) = eB/2 is one too), which SurfaceData enforces.
     """
     if surf.eS <= 0 or surf.eS % 12:
         raise ValueError("eS must be a positive multiple of 12, got %d" % surf.eS)
-    if surf.eB % 2:
-        raise ValueError("eB must be even, got %d" % surf.eB)
     chi_os = surf.eS // 12
     chi_ob = surf.eB // 2
     return EulerData(chiOS=chi_os, chiOB=chi_ob, h0_NBT=chi_os - chi_ob, h0_NBS=0)

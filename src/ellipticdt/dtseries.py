@@ -11,17 +11,16 @@ product forms rest on.
 
 All p-exponents are in half-units (see series module).
 
-The surface-independent building blocks (vertex rows and weights, F1 and F2,
-the powers of V~(empty) and V~(box) in the prefactors, the product factors
-and the unit products raised to Euler-characteristic powers) go through
-vertex.memoized, which gives each builder its own lru_cache keyed by its
-arguments, so one `check all` builds each of them once; vertex.clear_memo()
-drops them with the vertex records.  Three more products are shared the same
-way: the symmetric-product terms of a weight table (_symprod_products), built
-once for every exponent symprod_check checks and held for the latest table
-only (vertex.memoized_latest); the product sides of dt_hat and
-dt_fib (_dt_hat_product, _dt_fib_product), which connected's ratio reuses; and
-the point products of f_d_series (_point_product), each built from its prefix.
+Both sides are a few units raised to Euler-characteristic powers.  Every such
+power goes through _raised(unit, e, *args), and every q-series of per-degree
+rows through _q_series(row, q_order, t).  These, the rows, weights, prefactors
+and product factors go through vertex.memoized (one lru_cache per builder,
+keyed by its arguments), so one `check all` builds each once and raises each
+unit to each exponent once; vertex.clear_memo() drops them with the vertex
+records.  The symmetric-product terms of a weight table (_symprod_products)
+are built once for every exponent symprod_check checks and held for the latest
+table only (vertex.memoized_latest); each point product of f_d_series
+(_point_product) is built from its prefix.
 """
 
 from __future__ import annotations
@@ -87,13 +86,6 @@ class _Tilde:
         return tilde_vertex(LegConfig(lam, mu, nu), self.order, self.cache).series()
 
 
-def _stack_q(parts):
-    """Assemble q-free series (one per degree) into a single q-series."""
-    coeffs = [p.coeffs[0] for p in parts]
-    windows = [p.windows[0] for p in parts]
-    return PQSeries(len(parts) - 1, coeffs, windows)
-
-
 def _embed(series, q_order):
     """Pad a q-free series to the requested q-order with known-zero degrees."""
     return PQSeries.constant(series.coeffs[0], q_order, window=series.windows[0])
@@ -105,15 +97,18 @@ def _inverse(lam, t):
     return invert(t(lam, EMPTY, EMPTY))
 
 
-@memoized
 def F1F2(order, cache=None):
     """The two universal vertex factors.
 
     F1 = p^(1/2) V~(box)/V~(empty) lies in p^(1/2) Z[[p]]; F2 = V~(empty).
     """
     t = _Tilde(order, cache)
-    f1 = (t(BOX, EMPTY, EMPTY) * _inverse(EMPTY, t)).shift_p(1)
-    return f1, t(EMPTY, EMPTY, EMPTY)
+    return _f1(t), t(EMPTY, EMPTY, EMPTY)
+
+
+def _f1(t):
+    """The unit F1 = p^(1/2) V~(box)/V~(empty)."""
+    return (t(BOX, EMPTY, EMPTY) * _inverse(EMPTY, t)).shift_p(1)
 
 
 def _sum(terms):
@@ -124,6 +119,20 @@ def _sum(terms):
 def _product(factors, q_order):
     """Left-to-right product of a list of series; 1 when the list is empty."""
     return reduce(operator.mul, factors) if factors else PQSeries.one(q_order)
+
+
+@memoized
+def _raised(unit, e, *args):
+    """unit(*args)^e, the one power every side and prefactor takes, so a pass
+    raises each unit to each exponent once."""
+    return power(unit(*args), e)
+
+
+@memoized
+def _q_series(row, q_order, t):
+    """The q-series whose q^d coefficient is the q-free series row(d, t), d <= q_order."""
+    rows = [row(d, t) for d in range(q_order + 1)]
+    return PQSeries(q_order, [r.coeffs[0] for r in rows], [r.windows[0] for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +159,14 @@ def _nodal_row(d, t):
     )
 
 
-@memoized
-def _fiber_series(q_order, t):
-    """Row d is the sum over mu |- d of V~(mu,mu',empty)/V~(empty), for d <= q_order."""
-    return _stack_q(
-        [
-            _sum(t(mu, mu.conjugate(), EMPTY) for mu in enumerate_partitions(d))
-            * _inverse(EMPTY, t)
-            for d in range(q_order + 1)
-        ]
-    )
+def _fiber_row(d, t):
+    """Sum over mu |- d of V~(mu,mu',empty)/V~(empty)."""
+    return _sum(t(mu, mu.conjugate(), EMPTY) for mu in enumerate_partitions(d)) * _inverse(EMPTY, t)
+
+
+def _partition_count(d, t):
+    """The number of partitions of d, as an exact q-free series (t is unused)."""
+    return PQSeries.from_terms([(0, len(enumerate_partitions(d)))], 0)
 
 
 @memoized
@@ -232,20 +239,13 @@ def _point_product(a, b, rows, t):
 @memoized
 def _factored_prefactor(eB, eS, t):
     """F1^eB * F2^eS, with F2 = V~(empty)."""
-    f1, _ = F1F2(t.order, t.cache)
-    return power(f1, eB) * _leg_power(EMPTY, eS, t)
+    return _raised(_f1, eB, t) * _raised(t, eS, EMPTY, EMPTY, EMPTY)
 
 
 @memoized
 def _strata_prefactor(x, y, eB, t):
     """V~(empty)^x * V~(box)^y * p^(eB/2), eB/2 being the Euler characteristic of the base."""
-    return (_leg_power(EMPTY, x, t) * _leg_power(BOX, y, t)).shift_p(eB)
-
-
-@memoized
-def _leg_power(lam, e, t):
-    """V~(lam, empty, empty)^e, shared by the prefactors that raise it to the same power."""
-    return power(t(lam, EMPTY, EMPTY), e)
+    return (_raised(t, x, EMPTY, EMPTY, EMPTY) * _raised(t, y, BOX, EMPTY, EMPTY)).shift_p(eB)
 
 
 def f_d_compare(config, surf, order, cache=None):
@@ -296,13 +296,20 @@ def _dt_fib_unit(q_order, pw):
     return macmahon_p(q_order, pw) * _macmahon_tower(q_order, pw)
 
 
-@memoized
-def _dt_hat_units(q_order, pw):
-    """(s1, s2) with the product side of dt_hat equal to s1^eS * s2^eB."""
-    s1 = _dt_fib_unit(q_order, pw) * _inverse_euler(q_order, pw)
+def _dt_hat_s1(q_order, pw):
+    """M(p) prod_d M(p,q^d)/(1-q^d), the unit the product side of dt_hat raises to eS."""
+    return _dt_fib_unit(q_order, pw) * _inverse_euler(q_order, pw)
+
+
+def _dt_hat_s2(q_order, pw):
+    """(p^(1/2)-p^(-1/2))^(-1) prod_d (1-q^d)/((1-p q^d)(1-p^(-1) q^d)), raised to eB."""
     s2 = invert(PQSeries.from_terms([(1, 1), (-1, -1)], q_order).with_p_hi(pw[1]))
-    s2 = s2 * euler_product(q_order, pw) * _theta_tail(q_order, pw)
-    return s1, s2
+    return s2 * euler_product(q_order, pw) * _theta_tail(q_order, pw)
+
+
+def _jacobi_theta(q_order, pw):
+    """Theta cut at the p-window's top, the unit connected's Jacobi side raises to -eB."""
+    return theta(q_order, pw).with_p_hi(pw[1])
 
 
 def dt_hat(surf, q_order, order, side="product", p_window=None, cache=None):
@@ -315,22 +322,18 @@ def dt_hat(surf, q_order, order, side="product", p_window=None, cache=None):
     """
     if side == "sum":
         t = _Tilde(order, cache)
-        g_ser = _stack_q([_smooth_weight(a, t) for a in range(q_order + 1)])
-        h_ser = _stack_q([_nodal_weight(b, t) for b in range(q_order + 1)])
         out = _embed(_factored_prefactor(surf.eB, surf.eS, t), q_order)
-        out = out * power(g_ser, surf.eB - surf.eS)
-        out = out * power(h_ser, surf.eS)
+        out = out * _raised(_q_series, surf.eB - surf.eS, _smooth_weight, q_order, t)
+        out = out * _raised(_q_series, surf.eS, _nodal_weight, q_order, t)
         return out
     if side != "product":
         raise ValueError("side must be 'sum' or 'product'")
     return _dt_hat_product(surf, q_order, _window(p_window, order))
 
 
-@memoized
 def _dt_hat_product(surf, q_order, pw):
     """The product side of dt_hat, s1^eS * s2^eB."""
-    s1, s2 = _dt_hat_units(q_order, pw)
-    return power(s1, surf.eS) * power(s2, surf.eB)
+    return _raised(_dt_hat_s1, surf.eS, q_order, pw) * _raised(_dt_hat_s2, surf.eB, q_order, pw)
 
 
 def dt_fib(surf, q_order, order, side="product", p_window=None, cache=None):
@@ -342,23 +345,18 @@ def dt_fib(surf, q_order, order, side="product", p_window=None, cache=None):
     """
     if side == "sum":
         t = _Tilde(order, cache)
-        h_fib = _fiber_series(q_order, t)
-        counts = PQSeries.exact(
-            HalfLaurent({0: len(enumerate_partitions(d))}) for d in range(q_order + 1)
-        )
         out = _embed(_factored_prefactor(0, surf.eS, t), q_order)  # F2^eS = V~(empty)^eS
-        out = out * power(counts, surf.eB - surf.eS)
-        out = out * power(h_fib, surf.eS)
+        out = out * _raised(_q_series, surf.eB - surf.eS, _partition_count, q_order, t)
+        out = out * _raised(_q_series, surf.eS, _fiber_row, q_order, t)
         return out
     if side != "product":
         raise ValueError("side must be 'sum' or 'product'")
     return _dt_fib_product(surf, q_order, _window(p_window, order))
 
 
-@memoized
 def _dt_fib_product(surf, q_order, pw):
     """The product side of dt_fib, {M(p) prod_d M(p,q^d)}^eS * {prod_d (1-q^d)^(-1)}^eB."""
-    return power(_dt_fib_unit(q_order, pw), surf.eS) * power(_inverse_euler(q_order, pw), surf.eB)
+    return _raised(_dt_fib_unit, surf.eS, q_order, pw) * _raised(_inverse_euler, surf.eB, q_order, pw)
 
 
 def connected(surf, q_order, order, side="ratio", p_window=None, cache=None):
@@ -373,9 +371,7 @@ def connected(surf, q_order, order, side="ratio", p_window=None, cache=None):
         return _dt_hat_product(surf, q_order, pw) * invert(_dt_fib_product(surf, q_order, pw))
     if side != "jacobi":
         raise ValueError("side must be 'ratio' or 'jacobi'")
-    ep = euler_product(q_order, pw)
-    th = theta(q_order, pw).with_p_hi(pw[1])
-    return power(ep, -surf.eS) * power(th, -surf.eB)
+    return _raised(euler_product, -surf.eS, q_order, pw) * _raised(_jacobi_theta, -surf.eB, q_order, pw)
 
 
 def behrend_transform(a, chi_os):
@@ -450,7 +446,7 @@ def identity_a(q_order, order, cache=None, p_window=None):
     """Smooth-point trace identity: the g-weight series against its product form."""
     t = _Tilde(order, cache)
     one_minus_p = PQSeries.from_terms([(0, 1), (2, -1)], q_order)
-    lhs = _stack_q([_smooth_row(d, t) for d in range(q_order + 1)]) * one_minus_p
+    lhs = _q_series(_smooth_row, q_order, t) * one_minus_p
     pw = _window(p_window, order)
     return lhs, euler_product(q_order, pw) * _theta_tail(q_order, pw)
 
@@ -459,7 +455,7 @@ def identity_b(q_order, order, cache=None, p_window=None):
     """Nodal-point trace identity: the h-weight series against its product form."""
     t = _Tilde(order, cache)
     one_minus_p = PQSeries.from_terms([(0, 1), (2, -1)], q_order)
-    lhs = _stack_q([_nodal_row(d, t) for d in range(q_order + 1)]) * one_minus_p
+    lhs = _q_series(_nodal_row, q_order, t) * one_minus_p
     pw = _window(p_window, order)
     return lhs, _dt_fib_unit(q_order, pw) * _theta_tail(q_order, pw)
 
@@ -467,6 +463,6 @@ def identity_b(q_order, order, cache=None, p_window=None):
 def identity_c(q_order, order, cache=None, p_window=None):
     """Fiber-class trace identity: conjugate-leg vertex ratios against their product form."""
     t = _Tilde(order, cache)
-    lhs = _fiber_series(q_order, t)
+    lhs = _q_series(_fiber_row, q_order, t)
     pw = _window(p_window, order)
     return lhs, _inverse_euler(q_order, pw) * _macmahon_tower(q_order, pw)

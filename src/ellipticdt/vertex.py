@@ -152,10 +152,45 @@ def minimal_volume(cfg):
     return vol
 
 
+_MEMOS = []  # every memoized builder's lru_cache, each emptied by clear_memo()
+
+
+def memoized(build):
+    """Serve repeated calls of a pure builder from its own cache until clear_memo().
+
+    The key is the builder's arguments, all hashable.  A VertexCache compares
+    by absolute directory, so a call with another cache directory builds again
+    and reads or writes that directory.  cache_info() counts the calls served
+    from memory (hits) and the builds (misses).
+    """
+    cached = lru_cache(maxsize=None)(build)
+    _MEMOS.append(cached)
+    return cached
+
+
+def memoized_latest(build):
+    """Like memoized, but hold only the result of the latest arguments.
+
+    For a builder whose callers make all calls with one argument tuple in a
+    row: the memo then holds one of its results at a time.
+    """
+    cached = lru_cache(maxsize=1)(build)
+    _MEMOS.append(cached)
+    return cached
+
+
+def clear_memo():
+    """Drop the in-process memo: vertex records, the latest candidate poset and
+    the dtseries building blocks (disk caches are unaffected)."""
+    for cached in _MEMOS:
+        cached.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 
 
+@memoized_latest
 def _candidate_poset(cfg, order):
     """Boxes of P whose down-set within P has at most `order` elements, sorted.
 
@@ -293,40 +328,6 @@ def _slice_ideals(preds, succs, allowed, cap):
             yield grown, k
             if k < cap:
                 stack.append((grown, opened, k))
-
-
-_MEMOS = []  # every memoized builder's lru_cache, each emptied by clear_memo()
-
-
-def memoized(build):
-    """Serve repeated calls of a pure builder from its own cache until clear_memo().
-
-    The key is the builder's arguments, all hashable.  A VertexCache compares
-    by absolute directory, so a call with another cache directory builds again
-    and reads or writes that directory.  cache_info() counts the calls served
-    from memory (hits) and the builds (misses).
-    """
-    cached = lru_cache(maxsize=None)(build)
-    _MEMOS.append(cached)
-    return cached
-
-
-def memoized_latest(build):
-    """Like memoized, but hold only the result of the latest arguments.
-
-    For a builder whose callers make all calls with one argument tuple in a
-    row: the memo then holds one of its results at a time.
-    """
-    cached = lru_cache(maxsize=1)(build)
-    _MEMOS.append(cached)
-    return cached
-
-
-def clear_memo():
-    """Drop the in-process memo: vertex records and the dtseries building blocks
-    (disk caches are unaffected)."""
-    for cached in _MEMOS:
-        cached.cache_clear()
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import pytest
 import ellipticdt
 from ellipticdt import dtseries, vertex
 from ellipticdt.cli import main
+from ellipticdt.partitions import Partition
 from ellipticdt.series import PQSeries
 
 
@@ -387,6 +388,39 @@ def test_check_all_passes_repeat_their_work_after_clear_memo(tmp_path, capsys, m
     assert passes[0] == passes[1]
     assert passes[1]["cache_get"] == len(legs) == len(list(tmp_path.glob("*.json")))
     assert passes[1]["tilde_vertex"] > len(legs)  # repeated vertices are memo hits
+
+
+def test_check_all_raises_nothing_twice(capsys, monkeypatch):
+    """Every power of a pass goes through one memo, so no (base, exponent) repeats."""
+    seen = []
+    real_power = dtseries.power
+
+    def keyed(base, e):
+        seen.append((json.dumps(base.to_json_dict(), sort_keys=True), e))
+        return real_power(base, e)
+
+    monkeypatch.setattr(dtseries, "power", keyed)
+    vertex.clear_memo()
+    code, _, _ = run(capsys, "check", "all", "--q-order", "2", "--p-order", "5")
+    assert code == 0
+    assert seen and len(set(seen)) == len(seen)
+
+
+def test_large_vertex_builds_its_poset_once(capsys, monkeypatch):
+    """The size warning and the enumeration share one candidate poset."""
+    monkeypatch.delenv("ELLIPTICDT_CACHE", raising=False)
+    vertex.clear_memo()
+    code, out, err = run(capsys, "vertex", "--legs", "4,3;;", "--p-order", "3")
+    assert code == 0
+    info = vertex._candidate_poset.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    cfg = vertex.LegConfig(Partition((4, 3)), Partition(), Partition())
+    (boxes,) = vertex.estimate_nodes(cfg, 3)
+    assert boxes > 0 and "warning" not in out
+    assert err == (
+        "warning: large enumeration (order 3, total leg size 7): "
+        "candidate poset has %d boxes\n" % boxes
+    )
 
 
 def test_clear_memo_empties_every_memo(capsys):

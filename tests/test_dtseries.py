@@ -549,6 +549,30 @@ def test_ratio_from_shared_product_sides_never_changes_a_result():
         assert connected(surf, q_order, order, "ratio") == want[surf], surf
 
 
+def test_shared_powers_never_change_a_result():
+    """Three surfaces share eS = 12 and two share eB = 2, so their sides share powers."""
+    q_order, order = 3, 6
+    sides = [
+        (fn, SurfaceData(eb, es), side)
+        for eb, es in SURFACE_PAIRS
+        for fn, names in (
+            (dt_hat, ("sum", "product")),
+            (dt_fib, ("sum", "product")),
+            (connected, ("ratio", "jacobi")),
+        )
+        for side in names
+    ]
+    cold = {}
+    for fn, surf, side in sides:
+        clear_memo()
+        cold[fn, surf, side] = fn(surf, q_order, order, side)
+    for ordered in (sides, sides[::-1]):
+        clear_memo()
+        for fn, surf, side in ordered:
+            got = fn(surf, q_order, order, side)
+            assert got == cold[fn, surf, side], (fn.__name__, surf, side)
+
+
 def test_f_d_point_products_never_change_a_result():
     surf, order = SurfaceData(2, 12), 6
     configs = point_configs(3)
