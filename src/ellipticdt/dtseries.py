@@ -13,14 +13,14 @@ All p-exponents are in half-units (see series module).
 
 Both sides are a few units raised to Euler-characteristic powers.  Every such
 power goes through _raised(unit, e, *args), and every q-series of per-degree
-rows through _q_series(row, q_order, t).  These, the rows, weights, prefactors
-and product factors go through vertex.memoized (one lru_cache per builder,
-keyed by its arguments), so one `check all` builds each once and raises each
-unit to each exponent once; vertex.clear_memo() drops them with the vertex
-records.  The symmetric-product terms of a weight table (_symprod_products)
-are built once for every exponent symprod_check checks and held for the latest
-table only (vertex.memoized_latest); each point product of f_d_series
-(_point_product) is built from its prefix.
+rows through _q_series(row, q_order, t).  These, the built units (F1, s1,
+s2), rows, weights, prefactors and product factors go through vertex.memoized
+(one lru_cache per builder, keyed by its arguments), so one `check all` builds
+each once and raises each unit to each exponent once; vertex.clear_memo()
+drops them with the vertex records.  The symmetric-product terms of a weight
+table (_symprod_products) are built once for every exponent symprod_check
+checks and held for the latest table only (vertex.memoized_latest); each point
+product of f_d_series (_point_product) is built from its prefix.
 """
 
 from __future__ import annotations
@@ -106,6 +106,7 @@ def F1F2(order, cache=None):
     return _f1(t), t(EMPTY, EMPTY, EMPTY)
 
 
+@memoized
 def _f1(t):
     """The unit F1 = p^(1/2) V~(box)/V~(empty)."""
     return (t(BOX, EMPTY, EMPTY) * _inverse(EMPTY, t)).shift_p(1)
@@ -296,11 +297,13 @@ def _dt_fib_unit(q_order, pw):
     return macmahon_p(q_order, pw) * _macmahon_tower(q_order, pw)
 
 
+@memoized
 def _dt_hat_s1(q_order, pw):
     """M(p) prod_d M(p,q^d)/(1-q^d), the unit the product side of dt_hat raises to eS."""
     return _dt_fib_unit(q_order, pw) * _inverse_euler(q_order, pw)
 
 
+@memoized
 def _dt_hat_s2(q_order, pw):
     """(p^(1/2)-p^(-1/2))^(-1) prod_d (1-q^d)/((1-p q^d)(1-p^(-1) q^d)), raised to eB."""
     s2 = invert(PQSeries.from_terms([(1, 1), (-1, -1)], q_order).with_p_hi(pw[1]))

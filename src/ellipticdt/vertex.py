@@ -12,13 +12,17 @@ The count is a transfer matrix over tau-slices: an ideal is cut into the
 sequence of its 2D slices at heights tau = 0, 1, ..., as 3D partitions are
 sliced in Okounkov-Reshetikhin-Vafa (hep-th/0306032).  Each state is one 2D
 ideal J together with the size polynomial of the ideals cut off at height tau
-whose top slice is J, and the 2D ideals of each slice are enumerated
-exhaustively.  Only this counting is taken
-from the slicing picture; no Schur-function formula is used.  A size
-polynomial is packed into one int with a fixed number of bits per
-coefficient; that width is one bit more than C(N + order, order) needs, N
-the number of candidate boxes, which bounds every coefficient (see
-_slice_counts).
+whose top slice is J.  A box of the next slice over a candidate (a lifted
+box) may enter only over a box of J, so one step first sums, for each 2D
+ideal I of the boxes below, the states that contain I (a superset sum, or zeta
+transform, over the lattice of 2D ideals; Bjorklund et al., "Fast zeta
+transforms for lattices with few irreducibles", SODA 2012).  It then searches
+the 2D ideals of the new slice once, each taking the sum at the boxes under
+its lifted boxes.  Only this counting is taken from the slicing picture; no
+Schur-function formula is used.  A size polynomial is packed into one int
+with a fixed number of bits per coefficient; that width is one bit more than
+C(N + order, order) needs, N the number of candidate boxes, which bounds
+every coefficient (see _slice_counts).
 
 Vertex records and the dtseries building blocks are memoized in process, each
 builder in its own functools.lru_cache keyed by its arguments (the cache
@@ -249,7 +253,8 @@ def _slice_counts(cands, order):
     lies in J_{tau-1}.  A box of P below a candidate is a candidate, so "not
     in P" reads "not a candidate" here.  A transfer-matrix state is one J_tau,
     a bitmask over the slice's sorted boxes, mapped to the size polynomial
-    (truncated at `order`) of all ideals ending in it.
+    (truncated at `order`) of all ideals ending in it; a state with a zero
+    polynomial is never formed.
 
     A size polynomial is packed into one int, coefficient n in bits
     [n*width, (n+1)*width).  Coefficient n of any state, of any sum of states
@@ -259,75 +264,94 @@ def _slice_counts(cands, order):
     carries into the next coefficient.  Merging two states is then one
     addition, and extending a state by a k-box slice ideal is a shift by
     k*width with the coefficients above `order` masked off.
+
+    One step from slice tau - 1 to slice tau is a superset sum (a zeta
+    transform over the lattice of 2D ideals).  Call a box (r, s, tau) lifted
+    when (r, s, tau - 1) is a candidate, and let pi map it to that box.  J
+    may follow S exactly when pi(J & lifted) <= S, so the new state of J is
+    x^|J| Z[pi(J & lifted)], where Z[I] sums the old states S with I <= S,
+    that is with I <= S & pi(lifted).  So the states are not kept one by
+    one: the search adds each to the sum of its key S & pi(lifted) for the
+    next slice, and the step starts from these sums.  The facts this rests
+    on:
+
+    * The states are closed under sub-ideals: putting a 2D ideal S' <= S in
+      place of the top slice S of an ideal keeps every box over its
+      tau-predecessor and leaves an ideal of fewer boxes.
+    * pi(lifted) is down-closed in slice tau - 1: if (r, s) is in it and
+      (r', s', tau - 1) is a candidate with r' <= r and s' <= s, then
+      (r', s', tau) is in P (P is upward closed) and below the candidate
+      (r, s, tau), so it is a candidate.  By the same step a candidate of
+      slice tau - 1 below a box of pi(J & lifted) lifts to a box below one of
+      J, which is in J, so pi(J & lifted) is a 2D ideal.  So is every key
+      S & pi(lifted) of Z, and a sub-ideal of a key is a state and its own
+      key: the keys are closed under sub-ideals.
+    * Z is built in place from the sums by key, with one pass per box x of
+      pi(lifted) in reverse sorted order, adding Z[I | x] into Z[I] wherever
+      both are keys.  For keys I <= S, the passes sum S into Z[I] along the
+      one chain that adds the boxes of S - I smallest first.  Sorted order
+      is a linear extension, so each link I | x of that chain is an ideal
+      inside S (the predecessors of x sort before it), hence a key.
+    * Z only falls as I grows (it sums fewer nonnegative states), and
+      pi(J & lifted) grows with J.  So once Z[pi(J & lifted)] is 0 (no key),
+      or its lowest size plus |J| is above `order`, no J' >= J survives, and
+      the one search of the slice's 2D ideals can skip J's box there for
+      good; it yields each surviving J once.
+    * Coefficient n of Z[I] counts distinct n-box ideals (each ideal ends
+      in one state), so the width bound above still holds.
     """
     slices = {}
     for rho, sigma, tau in cands:  # sorted, so each slice comes out sorted
         slices.setdefault(tau, []).append((rho, sigma))
     width = comb(len(cands) + order, order).bit_length() + 1
     full = (1 << (order + 1) * width) - 1
-    states = {0: 1}
+    sums = {0: 1}  # the states of the slice below, summed by key S & pi(lifted)
     below = {}  # (rho, sigma) -> bit of that box in the slice underneath
     for tau in range(max(slices, default=-1) + 1):
         cells = slices.get(tau, [])
         bit = {cell: j for j, cell in enumerate(cells)}
-        preds, succs, free, lifts = [], [], 0, []
-        for j, (rho, sigma) in enumerate(cells):
-            mask = 0
-            for cell in ((rho - 1, sigma), (rho, sigma - 1)):
-                if cell in bit:
-                    mask |= 1 << bit[cell]
-            preds.append(mask)
+        # the boxes under the next slice's lifted boxes, which key its sums
+        onward = sum(1 << bit[cell] for cell in slices.get(tau + 1, ()) if cell in bit)
+        preds, succs, proj = [], [], []
+        for rho, sigma in cells:
+            preds.append(sum(1 << bit[c] for c in ((rho - 1, sigma), (rho, sigma - 1)) if c in bit))
             succs.append([bit[c] for c in ((rho + 1, sigma), (rho, sigma + 1)) if c in bit])
-            if (rho, sigma) in below:
-                lifts.append((below[(rho, sigma)], 1 << j))
-            else:
-                free |= 1 << j
-        # States that allow the same boxes of this slice share one 2D search.
-        by_allowed = {}
-        for ideal, poly in states.items():
-            allowed = free
-            for b, m in lifts:
-                if ideal >> b & 1:
-                    allowed |= m
-            by_allowed[allowed] = by_allowed.get(allowed, 0) + poly
-        states = {}
-        for allowed, poly in by_allowed.items():
-            low = ((poly & -poly).bit_length() - 1) // width  # the lowest nonzero size
-            for ideal, k in _slice_ideals(preds, succs, allowed, order - low):
-                states[ideal] = states.get(ideal, 0) + ((poly << k * width) & full)
+            proj.append(1 << below[(rho, sigma)] if (rho, sigma) in below else 0)
+        zeta = sums  # made Z in place, one pass per box of pi(lifted)
+        for x in sorted(filter(None, proj), reverse=True):
+            for key in zeta:
+                if not key & x and key | x in zeta:
+                    zeta[key] += zeta[key | x]
+        lows = {key: ((z & -z).bit_length() - 1) // width for key, z in zeta.items()}
+        # Each 2D ideal J is generated once by branching on the lowest ready
+        # box: it is either added, or skipped for good, which removes its whole
+        # up-set because those boxes never become ready.  A stack entry is
+        # (J, ready boxes, |J|, pi(J & lifted)).
+        sums = {0: zeta[0]}
+        ready = sum(1 << j for j, mask in enumerate(preds) if not mask)
+        stack = [(0, ready, 0, 0)]
+        while stack:
+            ideal, ready, k, key = stack.pop()
+            k += 1
+            while ready:
+                low = ready & -ready
+                ready ^= low
+                j = low.bit_length() - 1
+                grown_key = key | proj[j]
+                if grown_key not in zeta or lows[grown_key] + k > order:
+                    continue
+                grown = ideal | low
+                out = grown & onward
+                sums[out] = sums.get(out, 0) + ((zeta[grown_key] << k * width) & full)
+                if lows[grown_key] + k < order:
+                    opened = ready
+                    for s in succs[j]:
+                        if not preds[s] & ~grown:
+                            opened |= 1 << s
+                    stack.append((grown, opened, k, grown_key))
         below = bit
-    total = sum(states.values())
+    total = sums[0]  # no slice follows the last, so every state has key 0
     return [total >> n * width & (1 << width) - 1 for n in range(order + 1)]
-
-
-def _slice_ideals(preds, succs, allowed, cap):
-    """Yield (bitmask, size) of every 2D ideal of at most `cap` boxes inside `allowed`.
-
-    preds[j] is the bitmask of box j's in-slice predecessors and succs[j] lists
-    its in-slice successors.  Each ideal is generated once by branching on the
-    lowest ready box: it is either added, or skipped for good, which removes
-    its whole up-set because those boxes never become ready.
-    """
-    yield 0, 0
-    ready = 0
-    for j, mask in enumerate(preds):
-        if not mask and allowed >> j & 1:
-            ready |= 1 << j
-    stack = [(0, ready, 0)] if cap > 0 else []
-    while stack:
-        ideal, ready, k = stack.pop()
-        k += 1
-        while ready:
-            low = ready & -ready
-            ready ^= low
-            grown = ideal | low
-            opened = ready
-            for s in succs[low.bit_length() - 1]:
-                if allowed >> s & 1 and not preds[s] & ~grown:
-                    opened |= 1 << s
-            yield grown, k
-            if k < cap:
-                stack.append((grown, opened, k))
 
 
 @dataclass(frozen=True)

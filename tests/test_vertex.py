@@ -214,6 +214,25 @@ def test_symmetries_small():
         assert tilde_vertex(cfg.conjugate_swap(), 5).counts == counts
 
 
+@pytest.mark.parametrize(
+    "parts",
+    [
+        ((2, 1), (3, 1), ()),
+        ((3, 2, 1), (2,), ()),
+        ((2, 1), (2, 1), (2, 1)),
+        ((3, 1), (2,), (1, 1)),
+        ((2, 2), (1,), (3,)),
+    ],
+)
+def test_symmetries_deep(parts):
+    """Rotating the legs changes which leg lies along the sliced tau-axis, so
+    the counter reaches the same numbers along other slicings."""
+    cfg = legs(*parts)
+    counts = tilde_vertex(cfg, 12).counts
+    for image in (cfg.cyclic(), cfg.cyclic().cyclic(), cfg.conjugate_swap()):
+        assert tilde_vertex(image, 12).counts == counts
+
+
 def test_usual_vertex_normalization():
     lam = Partition([2, 1])
     v = vertex(LegConfig(lam, EMPTY, EMPTY), 4)
@@ -231,6 +250,42 @@ def test_vertex_matches_macmahon_ratio():
     rec = tilde_vertex(legs((1,), (), ()), 8)
     prod = macmahon_p(0, (0, 16)) * linear_factor(1, 0, -1, 0, (0, 16))
     assert all(rec.counts[n] == prod.coeffs[0][2 * n] for n in range(9))
+
+
+def inverse_product(factors, order):
+    """Coefficients up to q^order of the product over (m, e) of (1 - q^m)^(-e)."""
+    poly = [1] + [0] * order
+    for m, e in factors:
+        for _ in range(e):
+            for n in range(m, order + 1):  # divide by 1 - q^m
+                poly[n] += poly[n - m]
+    return poly
+
+
+def hook_lengths(lam):
+    conj = lam.conjugate().parts
+    return [
+        part - j + conj[j] - i - 1 for i, part in enumerate(lam.parts) for j in range(part)
+    ]
+
+
+def test_one_leg_vertex_is_macmahon_over_hooks():
+    """V~(lam, empty, empty) = M(q) prod over the boxes of lam of (1 - q^h)^(-1),
+    h the hook length: the principal specialization of a Schur function
+    (Stanley, EC2 Cor. 7.21.3), the one-leg vertex of Okounkov-Reshetikhin-Vafa."""
+    order = 20
+    macmahon = [(m, m) for m in range(1, order + 1)]
+    for n in range(7):
+        for lam in enumerate_partitions(n):
+            want = inverse_product(macmahon + [(h, 1) for h in hook_lengths(lam)], order)
+            assert list(tilde_vertex(LegConfig(lam, EMPTY, EMPTY), order).counts) == want
+
+
+def test_empty_legs_count_plane_partitions_deep():
+    order = 30
+    rec = tilde_vertex(legs((), (), ()), order)
+    prod = macmahon_p(0, (0, 2 * order))
+    assert list(rec.counts) == [prod.coeffs[0][2 * n] for n in range(order + 1)]
 
 
 def test_cache_roundtrip(tmp_path):

@@ -21,9 +21,11 @@ the 20 tables ``cli._random_g_table`` draws from ``random.Random(1)``.
 One line per surface in ``cli.FD_PAIRS`` digests the ``f_d_compare`` JSON of
 every ``cli.point_configs(4)`` configuration at p-order 12, both f_d modes
 with their windows.
-The last line digests ``tilde_vertex(cfg, 8).counts`` of every leg
+Then one line digests ``tilde_vertex(cfg, 8).counts`` of every leg
 configuration with |lam| + |mu| + |nu| <= 4, the third leg included, which
-no command above sets.
+no command above sets; one line the counts of every configuration with legs
+of size <= 3 and total size <= 5 at orders 0, 1, 3 and 7 (512 pairs); and one
+line each the counts of the deep vertices in ``DEEP_VERTICES``.
 Running the script in two checkouts and diffing the outputs shows every
 command whose printed bytes changed.
 """
@@ -41,10 +43,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import ellipticdt  # noqa: E402
 from ellipticdt import cli, dtseries, series, vertex  # noqa: E402
-from ellipticdt.partitions import enumerate_partitions  # noqa: E402
+from ellipticdt.partitions import Partition, enumerate_partitions  # noqa: E402
 from ellipticdt.series import HalfLaurent  # noqa: E402
 
 FORMATS = ("pretty", "json", "csv")
+SMALL_ORDERS = (0, 1, 3, 7)
+DEEP_VERTICES = ((";;", 30), ("3,2,1;3,2,1;", 20), ("3,2,1;3,2,1;3,2,1", 20))
 
 
 def commands():
@@ -117,14 +121,22 @@ def fd_digest(eB, eS):
     return code, hashlib.sha256(text.encode()).hexdigest()
 
 
-def vertex_counts_digest(max_size, order):
-    """(0, sha256 of the counts of every leg configuration of total size <= max_size)."""
-    vertex.clear_memo()
-    parts = [lam for n in range(max_size + 1) for lam in enumerate_partitions(n)]
-    rows = [
-        [cfg.canonical_key(order), [str(c) for c in vertex.tilde_vertex(cfg, order).counts]]
+def small_configs(max_size, max_leg):
+    """Every leg configuration with legs of size <= max_leg and total size <= max_size."""
+    parts = [lam for n in range(max_leg + 1) for lam in enumerate_partitions(n)]
+    return [
+        cfg
         for cfg in itertools.starmap(vertex.LegConfig, itertools.product(parts, repeat=3))
         if cfg.total_size() <= max_size
+    ]
+
+
+def counts_digest(pairs):
+    """(0, sha256 of tilde_vertex(cfg, order).counts of every (cfg, order) pair)."""
+    vertex.clear_memo()
+    rows = [
+        [cfg.canonical_key(order), [str(c) for c in vertex.tilde_vertex(cfg, order).counts]]
+        for cfg, order in pairs
     ]
     return 0, hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
@@ -143,8 +155,16 @@ def main():
     for eB, eS in cli.FD_PAIRS:
         code, sha = fd_digest(eB, eS)
         print(code, sha, "f_d_compare eB=%+d eS=%d point_configs(4) 12" % (eB, eS), flush=True)
-    code, sha = vertex_counts_digest(4, 8)
+    code, sha = counts_digest((cfg, 8) for cfg in small_configs(4, 4))
     print(code, sha, "tilde_vertex counts |lam|+|mu|+|nu|<=4 8", flush=True)
+    pairs = [(cfg, order) for cfg in small_configs(5, 3) for order in SMALL_ORDERS]
+    code, sha = counts_digest(pairs)
+    print(code, sha, "tilde_vertex counts legs<=3 |lam|+|mu|+|nu|<=5 orders %s (%d pairs)"
+          % (",".join(map(str, SMALL_ORDERS)), len(pairs)), flush=True)
+    for legs, order in DEEP_VERTICES:
+        cfg = vertex.LegConfig(*(Partition.parse(p) for p in legs.split(";")))
+        code, sha = counts_digest([(cfg, order)])
+        print(code, sha, "tilde_vertex counts %s %d" % (legs, order), flush=True)
 
 
 if __name__ == "__main__":
