@@ -13,12 +13,14 @@ All p-exponents are in half-units (see series module).
 
 Both sides are a few units raised to Euler-characteristic powers.  Every such
 power goes through _raised(unit, e, *args), and every q-series of per-degree
-rows through _q_series(row, q_order, t).  These, the built units (F1, s1,
-s2), rows, weights, prefactors and product factors go through vertex.memoized
-(one lru_cache per builder, keyed by its arguments), so one `check all` builds
-each once and raises each unit to each exponent once; vertex.clear_memo()
-drops them with the vertex records.  The symmetric-product terms of a weight
-table (_symprod_products) are built once for every exponent symprod_check
+rows through _q_series(row, q_order, t).  These, the built units (F1, s1, s2,
+the Euler product and Theta), rows, weights, prefactors, product factors and
+product sides go through vertex.memoized (one lru_cache per builder, keyed by
+its arguments), so one `check all` builds each once and raises each unit to
+each exponent once, and the exponents of one unit share their squarings
+(series.power keeps its steps on the base); vertex.clear_memo() drops them with
+the vertex records.  The symmetric-product terms of a weight table and its base
+series (_symprod_products) are built once for every exponent symprod_check
 checks and held for the latest table only (vertex.memoized_latest); each point
 product of f_d_series (_point_product) is built from its prefix.
 """
@@ -307,9 +309,16 @@ def _dt_hat_s1(q_order, pw):
 def _dt_hat_s2(q_order, pw):
     """(p^(1/2)-p^(-1/2))^(-1) prod_d (1-q^d)/((1-p q^d)(1-p^(-1) q^d)), raised to eB."""
     s2 = invert(PQSeries.from_terms([(1, 1), (-1, -1)], q_order).with_p_hi(pw[1]))
-    return s2 * euler_product(q_order, pw) * _theta_tail(q_order, pw)
+    return s2 * _euler(q_order, pw) * _theta_tail(q_order, pw)
 
 
+@memoized
+def _euler(q_order, pw):
+    """prod_k (1 - q^k), the unit connected's Jacobi side raises to -eS."""
+    return euler_product(q_order, pw)
+
+
+@memoized
 def _jacobi_theta(q_order, pw):
     """Theta cut at the p-window's top, the unit connected's Jacobi side raises to -eB."""
     return theta(q_order, pw).with_p_hi(pw[1])
@@ -334,6 +343,7 @@ def dt_hat(surf, q_order, order, side="product", p_window=None, cache=None):
     return _dt_hat_product(surf, q_order, _window(p_window, order))
 
 
+@memoized
 def _dt_hat_product(surf, q_order, pw):
     """The product side of dt_hat, s1^eS * s2^eB."""
     return _raised(_dt_hat_s1, surf.eS, q_order, pw) * _raised(_dt_hat_s2, surf.eB, q_order, pw)
@@ -357,6 +367,7 @@ def dt_fib(surf, q_order, order, side="product", p_window=None, cache=None):
     return _dt_fib_product(surf, q_order, _window(p_window, order))
 
 
+@memoized
 def _dt_fib_product(surf, q_order, pw):
     """The product side of dt_fib, {M(p) prod_d M(p,q^d)}^eS * {prod_d (1-q^d)^(-1)}^eB."""
     return _raised(_dt_fib_unit, surf.eS, q_order, pw) * _raised(_inverse_euler, surf.eB, q_order, pw)
@@ -374,7 +385,7 @@ def connected(surf, q_order, order, side="ratio", p_window=None, cache=None):
         return _dt_hat_product(surf, q_order, pw) * invert(_dt_fib_product(surf, q_order, pw))
     if side != "jacobi":
         raise ValueError("side must be 'ratio' or 'jacobi'")
-    return _raised(euler_product, -surf.eS, q_order, pw) * _raised(_jacobi_theta, -surf.eB, q_order, pw)
+    return _raised(_euler, -surf.eS, q_order, pw) * _raised(_jacobi_theta, -surf.eB, q_order, pw)
 
 
 def behrend_transform(a, chi_os):
@@ -402,12 +413,13 @@ def symprod_check(g_table, e, q_order):
     (smallest) part j, which has a lower degree and so comes first: the
     coefficient e(e-1)...(e-M+1)/prod m_i! gains (e - M')/m_j, with M' the
     parent's number of parts.  The products do not depend on e, so they come
-    from _symprod_products, built once per table.
+    from _symprod_products, built once per table with the base series, whose
+    powers then share one inverse and their squarings.
     """
     table = {int(a): hl for a, hl in g_table.items()}
     weights = [table.get(a, HalfLaurent()) for a in range(1, q_order + 1)]
     key = tuple((a, tuple(w.items())) for a, w in enumerate(weights, 1) if not w.is_zero())
-    products = _symprod_products(key, q_order)
+    base, products = _symprod_products(key, q_order)
     coeffs = {(): 1}  # parts -> multinomial coefficient
     lhs_rows = [HalfLaurent({0: 1})]
     for d in range(1, q_order + 1):
@@ -418,27 +430,27 @@ def symprod_check(g_table, e, q_order):
             coeffs[lam.parts] = coeff
             acc = acc + products[lam.parts].scale(coeff)
         lhs_rows.append(acc)
-    lhs = PQSeries.exact(lhs_rows)
-    base = PQSeries.exact([HalfLaurent({0: 1})] + weights)
-    return compare(lhs, power(base, e))
+    return compare(PQSeries.exact(lhs_rows), power(base, e))
 
 
 @memoized_latest
 def _symprod_products(key, q_order):
-    """parts -> prod g(j) over the parts, for every partition of degree <= q_order.
+    """(base, products): the base 1 + sum_a g(a) q^a, and parts -> prod g(j) over
+    the parts for every partition of degree <= q_order.
 
     key is the table's nonzero weights g(a), a <= q_order, as (a, sorted terms).
     Each product is its parent's (the partition without its last part j) times g(j).
-    Only the latest table's products are held: its exponents are checked one
-    after another, so memory stays bounded by one table however many are checked.
+    Only the latest table's products and base (with the powers power() keeps on
+    it) are held: its exponents are checked one after another, so memory stays
+    bounded by one table however many are checked.
     """
     table = {a: HalfLaurent(terms) for a, terms in key}
+    weights = [table.get(a, HalfLaurent()) for a in range(1, q_order + 1)]
     products = {(): HalfLaurent({0: 1})}
     for d in range(1, q_order + 1):
         for lam in enumerate_partitions(d):
-            weight = table.get(lam.parts[-1], HalfLaurent())
-            products[lam.parts] = products[lam.parts[:-1]] * weight
-    return products
+            products[lam.parts] = products[lam.parts[:-1]] * weights[lam.parts[-1] - 1]
+    return PQSeries.exact([HalfLaurent({0: 1})] + weights), products
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +463,7 @@ def identity_a(q_order, order, cache=None, p_window=None):
     one_minus_p = PQSeries.from_terms([(0, 1), (2, -1)], q_order)
     lhs = _q_series(_smooth_row, q_order, t) * one_minus_p
     pw = _window(p_window, order)
-    return lhs, euler_product(q_order, pw) * _theta_tail(q_order, pw)
+    return lhs, _euler(q_order, pw) * _theta_tail(q_order, pw)
 
 
 def identity_b(q_order, order, cache=None, p_window=None):

@@ -21,10 +21,13 @@ Every ring operation computes the widest window on which the convolution of
 exactly-known data is itself exact; an equality reported by ``compare`` is a
 statement about exactly-known coefficients only.
 
-Every product goes through one kernel: ``_degree_product`` folds the window of
-a q-degree from the factor windows first, then ``_convolve``, the only place
-that multiplies term pairs, skips each exponent above that window's ceiling.
-``HalfLaurent.__mul__``, series multiplication and ``invert`` all call it.
+Every product goes through one of two kernels: ``_degree_product`` folds the
+window of a q-degree from the factor windows first, then ``_convolve``, the
+only place that multiplies term pairs, skips each exponent above that window's
+ceiling.  ``HalfLaurent.__mul__``, series multiplication and ``invert`` all
+call it; ``_square`` folds the same windows over the unordered degree pairs
+and convolves each off-diagonal pair once.  ``power`` keeps every power it
+forms on its base, so the powers of one base share their squarings.
 ``PQSeries.exact`` is the one constructor for exactly-known data: row d gets
 the window (min exponent, None), or (None, None) when it is zero.
 
@@ -211,7 +214,7 @@ def _check_window(w):
 class PQSeries:
     """Truncated element of Z((p^(1/2)))[[q]] with per-degree knowledge windows."""
 
-    __slots__ = ("q_order", "coeffs", "windows")
+    __slots__ = ("q_order", "coeffs", "windows", "_powers")
 
     def __init__(self, q_order, coeffs, windows):
         if q_order < 0:
@@ -233,6 +236,7 @@ class PQSeries:
         self.q_order = q_order
         self.coeffs = coeffs
         self.windows = windows
+        self._powers = None  # exponent -> power, filled by power()
 
     # -- constructors -------------------------------------------------------
 
@@ -402,6 +406,29 @@ def _binary_mul(a, b):
     return PQSeries(q_order, *zip(*(_degree_product(a, b, d) for d in range(q_order + 1))))
 
 
+def _square(a):
+    """a * a, each off-diagonal pair of q-degrees convolved once and doubled.
+
+    Equal (==) to _binary_mul(a, a).  The window of the degree pair
+    (i, d - i) is symmetric in i <-> d - i, so folding the unordered pairs
+    gives the window of the ordered fold (the fold is idempotent).  With the
+    same ceiling skip as _degree_product, 2 * sum_(i < d-i) a_i a_(d-i) +
+    a_(d/2)^2 is the ordered sum exactly over Z.
+    """
+    ca, wa = a.coeffs, a.windows
+    coeffs, windows = [], []
+    for d in range(a.q_order + 1):
+        window, off, diag = (None, None), [], []
+        for i in range(d // 2 + 1):
+            w = _mul_pair_window(wa[i], wa[d - i])
+            if w[0] is not None:
+                window = _add_window(window, w)
+                (diag if 2 * i == d else off).append((ca[i], ca[d - i]))
+        coeffs.append(_convolve(off, window[1]).scale(2) + _convolve(diag, window[1]))
+        windows.append(window)
+    return PQSeries(a.q_order, coeffs, windows)
+
+
 def _invert_laurent(a0, lo0, hi0):
     """Invert the q^0 Laurent coefficient; returns (data, window)."""
     if lo0 is None or a0.is_zero():
@@ -437,20 +464,37 @@ def invert(a):
 
 
 def power(a, k):
-    """a**k by binary exponentiation; negative k routes through invert."""
+    """a**k, sharing its steps with every earlier power of the same object a.
+
+    -1 is invert(a), 0 is one and 1 is a; an even k is the square of a^(k/2),
+    an odd k is a^(k-1) * a (a^(k+1) * a^(-1) when k < 0).  Each power formed
+    is kept in a._powers, so power(a, 24) after power(a, 12) is one squaring.
+
+    The result equals (==) the left-to-right product of |k| copies of a, or of
+    invert(a) when k < 0, whatever the grouping and the powers formed before.
+    A product's window at each degree is a fold of per-degree (lo, hi) pairs:
+    lo adds, hi = min(la + hb, ha + lb), sums take mins.  That fold is
+    commutative, associative and idempotent, so any grouping of the same
+    factors gives the same windows; and every operation stores the exact
+    truth on (-inf, hi], so equal windows hold equal data.
+    """
     k = int(k)
+    if k == 1:
+        return a
     if k == 0:
         return PQSeries.one(a.q_order)
-    if k < 0:
-        return power(invert(a), -k)
-    out = None
-    base = a
-    while k:
-        if k & 1:
-            out = base if out is None else _binary_mul(out, base)
-        k >>= 1
-        if k:
-            base = _binary_mul(base, base)
+    if a._powers is None:
+        a._powers = {}
+    out = a._powers.get(k)
+    if out is None:
+        if k == -1:
+            out = invert(a)
+        elif k % 2 == 0:
+            out = _square(power(a, k // 2))
+        else:
+            unit = 1 if k > 0 else -1
+            out = _binary_mul(power(a, k - unit), power(a, unit))
+        a._powers[k] = out
     return out
 
 

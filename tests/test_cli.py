@@ -406,6 +406,21 @@ def test_check_all_raises_nothing_twice(capsys, monkeypatch):
     assert seen and len(set(seen)) == len(seen)
 
 
+def test_check_all_builds_each_product_unit_once(capsys, monkeypatch):
+    """Theta and the Euler product are built once per (q_order, p_window) in a pass."""
+    built = []
+    for name in ("theta", "euler_product"):
+        real = getattr(dtseries, name)
+        monkeypatch.setattr(
+            dtseries, name, lambda *args, name=name, real=real: built.append((name, args)) or real(*args)
+        )
+    vertex.clear_memo()
+    code, _, _ = run(capsys, "check", "all", "--q-order", "2", "--p-order", "5")
+    assert code == 0
+    assert {name for name, _ in built} == {"theta", "euler_product"}
+    assert len(set(built)) == len(built)
+
+
 def test_large_vertex_builds_its_poset_once(capsys, monkeypatch):
     """The size warning and the enumeration share one candidate poset."""
     monkeypatch.delenv("ELLIPTICDT_CACHE", raising=False)

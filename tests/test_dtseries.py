@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ellipticdt import series
 from ellipticdt.cli import SURFACE_PAIRS, point_configs
 from ellipticdt.dtseries import (
     F1F2,
@@ -528,6 +529,18 @@ def test_symprod_products_hold_one_table():
         symprod_check(table, 2, 4)
     info = _symprod_products.cache_info()
     assert (info.maxsize, info.currsize, info.misses) == (1, 1, 2)
+
+
+def test_symprod_exponents_of_one_table_invert_once(monkeypatch):
+    """The seven exponents of one table raise one base, which keeps its one inverse."""
+    inverted = []
+    real = series.invert
+    monkeypatch.setattr(series, "invert", lambda a: inverted.append(a) or real(a))
+    clear_memo()
+    table = {a: HalfLaurent({0: a, 2: 1}) for a in range(1, 5)}
+    for e in range(-3, 4):
+        assert symprod_check(table, e, 4).equal, e
+    assert len(inverted) == 1
 
 
 def test_ratio_from_shared_product_sides_never_changes_a_result():

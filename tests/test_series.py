@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ellipticdt import series
 from ellipticdt.series import (
     HalfLaurent,
     NotInvertible,
@@ -142,6 +143,19 @@ def test_power_negative_square_of_theta_prefactor():
         assert sq.coeffs[0][2 * k] == k
     back = sq * power(a, 2)
     assert back.coeffs[0][0] == 1
+
+
+def test_power_keeps_its_steps_on_the_base(monkeypatch):
+    """power(a, 24) forms a^2, a^3, a^6, a^12 on the way, so power(a, 12) forms nothing."""
+    a, formed = theta(3, (-8, 8)).with_p_hi(8), []
+    for name in ("_binary_mul", "_square"):
+        real = getattr(series, name)
+        monkeypatch.setattr(series, name, lambda *args, name=name, real=real: formed.append(name) or real(*args))
+    power(a, 24)
+    assert formed == ["_square", "_binary_mul", "_square", "_square", "_square"]
+    formed.clear()
+    assert power(a, 12) is power(a, 12) and power(a, 24) is power(a, 24)
+    assert formed == []
 
 
 def test_power_addition_law():

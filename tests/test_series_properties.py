@@ -11,6 +11,7 @@ derandomized, so the suite stays deterministic.
 """
 
 import functools
+import operator
 
 import pytest
 
@@ -22,6 +23,8 @@ from ellipticdt.series import (  # noqa: E402
     HalfLaurent,
     PQSeries,
     WindowExhausted,
+    _binary_mul,
+    _square,
     compare,
     euler_product,
     invert,
@@ -171,6 +174,39 @@ def test_power_claims_hold(data, k):
         for _ in range(k):
             truth = naive_mul(truth, exact)
     assert_agrees(got, truth)
+
+
+def product_of_copies(a, k):
+    """Left-to-right product of |k| copies of a, or of invert(a) when k < 0."""
+    if k == 0:
+        return PQSeries.one(a.q_order)
+    return functools.reduce(operator.mul, [a if k > 0 else invert(a)] * abs(k))
+
+
+def copy_of(a):
+    """A fresh series with a's data and windows, and none of its kept powers."""
+    return PQSeries(a.q_order, a.coeffs, a.windows)
+
+
+@PROPERTY
+@given(st.data())
+def test_shared_powers_equal_products_of_copies(data):
+    """power(a, k) is the same series whether its steps are shared with earlier
+    powers of a (exponents in a random order) or formed on a fresh base."""
+    unit = data.draw(st.booleans())
+    a = data.draw(truncated(data.draw(exact_series(unit=unit)), unit=unit))
+    exponents = data.draw(st.permutations(range(-6 if unit else 0, 7)))
+    for k in exponents:
+        want = product_of_copies(copy_of(a), k)
+        assert power(a, k) == want, k
+        assert power(copy_of(a), k) == want, k
+
+
+@PROPERTY
+@given(st.data())
+def test_square_equals_product_with_itself(data):
+    a = data.draw(truncated(data.draw(exact_series())))
+    assert _square(a) == _binary_mul(a, a)
 
 
 @PROPERTY

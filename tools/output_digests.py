@@ -26,6 +26,10 @@ configuration with |lam| + |mu| + |nu| <= 4, the third leg included, which
 no command above sets; one line the counts of every configuration with legs
 of size <= 3 and total size <= 5 at orders 0, 1, 3 and 7 (512 pairs); and one
 line each the counts of the deep vertices in ``DEEP_VERTICES``.
+The last line digests the JSON of ``series.power(b, k)`` for k = -26..26 on
+two windowed bases, ``dtseries._dt_hat_s1(6, (-26, 26))`` and the h-weight
+series ``_q_series(_nodal_weight, 6, t)`` at p-order 12, each k computed both
+on one shared base, in increasing order, and on a fresh copy of the base.
 Running the script in two checkouts and diffing the outputs shows every
 command whose printed bytes changed.
 """
@@ -141,6 +145,21 @@ def counts_digest(pairs):
     return 0, hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
+def power_digest():
+    """(0, sha256 of power(b, k), k = -26..26, on a shared base and on a fresh copy)."""
+    vertex.clear_memo()
+    bases = (
+        dtseries._dt_hat_s1(6, (-26, 26)),
+        dtseries._q_series(dtseries._nodal_weight, 6, dtseries._Tilde(12, None)),
+    )
+    rows = []
+    for base in bases:
+        for k in range(-26, 27):
+            fresh = series.PQSeries(base.q_order, base.coeffs, base.windows)
+            rows.append([series.power(b, k).to_json_dict() for b in (base, fresh)])
+    return 0, hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
 def main():
     sys.stderr.write("digesting %s\n" % ellipticdt.__file__)
     for argv in commands():
@@ -165,6 +184,8 @@ def main():
         cfg = vertex.LegConfig(*(Partition.parse(p) for p in legs.split(";")))
         code, sha = counts_digest([(cfg, order)])
         print(code, sha, "tilde_vertex counts %s %d" % (legs, order), flush=True)
+    code, sha = power_digest()
+    print(code, sha, "power k=-26..26 shared and fresh: _dt_hat_s1 6, h-weights 6 12", flush=True)
 
 
 if __name__ == "__main__":
