@@ -14,15 +14,18 @@ All p-exponents are in half-units (see series module).
 Both sides are a few units raised to Euler-characteristic powers.  Every such
 power goes through _raised(unit, e, *args), and every q-series of per-degree
 rows through _q_series(row, q_order, t).  These, the built units (F1, s1, s2,
-the Euler product and Theta), rows, weights, prefactors, product factors and
-product sides go through vertex.memoized (one lru_cache per builder, keyed by
-its arguments), so one `check all` builds each once and raises each unit to
-each exponent once, and the exponents of one unit share their squarings
-(series.power keeps its steps on the base); vertex.clear_memo() drops them with
-the vertex records.  The symmetric-product terms of a weight table and its base
-series (_symprod_products) are built once for every exponent symprod_check
-checks and held for the latest table only (vertex.memoized_latest); each point
-product of f_d_series (_point_product) is built from its prefix.
+the Euler product and Theta), the series of each vertex record
+(_record_series, so V~(empty) and V~(box) are one object each), rows,
+weights, prefactors, product factors and product sides go through
+vertex.memoized (one lru_cache per builder, keyed by its arguments), so one
+`check all` builds each once and raises each unit to each exponent once, and
+the exponents of one unit share their squarings (series.power keeps its steps
+on the base); vertex.clear_memo() drops them with the vertex records.  The
+symmetric-product terms of a weight table and its base series
+(_symprod_products) are built once for every exponent symprod_check checks and
+held for the latest table only (vertex.memoized_latest); the multinomial
+coefficients of each exponent (_multinomials) are built once for every table;
+each point product of f_d_series (_point_product) is built from its prefix.
 """
 
 from __future__ import annotations
@@ -85,7 +88,13 @@ class _Tilde:
     cache: object  # a VertexCache or None
 
     def __call__(self, lam, mu, nu):
-        return tilde_vertex(LegConfig(lam, mu, nu), self.order, self.cache).series()
+        return _record_series(tilde_vertex(LegConfig(lam, mu, nu), self.order, self.cache))
+
+
+@memoized
+def _record_series(rec):
+    """rec.series(), one object per record, so the powers of a vertex share their steps."""
+    return rec.series()
 
 
 def _embed(series, q_order):
@@ -409,28 +418,46 @@ def symprod_check(g_table, e, q_order):
     sum j*m_j = d of prod g(j)^(m_j) times the generalized multinomial
     coefficient of e; RHS is (sum_a g(a) q^a)^e.  Returns the comparison.
 
-    Each term is built from its parent, the partition without its last
-    (smallest) part j, which has a lower degree and so comes first: the
-    coefficient e(e-1)...(e-M+1)/prod m_i! gains (e - M')/m_j, with M' the
-    parent's number of parts.  The products do not depend on e, so they come
-    from _symprod_products, built once per table with the base series, whose
-    powers then share one inverse and their squarings.
+    The coefficients depend on e and q_order only, so they come from
+    _multinomials, built once per exponent.  The products do not depend on
+    e, so they come from _symprod_products, built once per table with the
+    base series, whose powers then share one inverse and their squarings.
     """
     table = {int(a): hl for a, hl in g_table.items()}
     weights = [table.get(a, HalfLaurent()) for a in range(1, q_order + 1)]
     key = tuple((a, tuple(w.items())) for a, w in enumerate(weights, 1) if not w.is_zero())
     base, products = _symprod_products(key, q_order)
-    coeffs = {(): 1}  # parts -> multinomial coefficient
     lhs_rows = [HalfLaurent({0: 1})]
+    for terms in _multinomials(e, q_order):
+        acc = {}
+        for parts, coeff in terms:
+            for x, v in products[parts].c.items():
+                acc[x] = acc.get(x, 0) + coeff * v
+        lhs_rows.append(HalfLaurent._raw({x: v for x, v in acc.items() if v}))
+    return compare(PQSeries.exact(lhs_rows), power(base, e))
+
+
+@memoized
+def _multinomials(e, q_order):
+    """For d = 1..q_order, the (parts, coefficient) of every partition of d whose
+    coefficient e(e-1)...(e-M+1)/prod m_i! (M parts, m_i of size i) is nonzero.
+
+    Each term comes from its parent, the partition without its last
+    (smallest) part j, which has a lower degree and so comes first: the
+    coefficient gains (e - M')/m_j, with M' the parent's number of parts.
+    """
+    coeffs = {(): 1}
+    out = []
     for d in range(1, q_order + 1):
-        acc = HalfLaurent()
+        row = []
         for lam in enumerate_partitions(d):
             parent, j = lam.parts[:-1], lam.parts[-1]
             coeff = coeffs[parent] * (e - len(parent)) // lam.parts.count(j)
             coeffs[lam.parts] = coeff
-            acc = acc + products[lam.parts].scale(coeff)
-        lhs_rows.append(acc)
-    return compare(PQSeries.exact(lhs_rows), power(base, e))
+            if coeff:
+                row.append((lam.parts, coeff))
+        out.append(tuple(row))
+    return tuple(out)
 
 
 @memoized_latest

@@ -21,13 +21,20 @@ Every ring operation computes the widest window on which the convolution of
 exactly-known data is itself exact; an equality reported by ``compare`` is a
 statement about exactly-known coefficients only.
 
-Every product goes through one of two kernels: ``_degree_product`` folds the
-window of a q-degree from the factor windows first, then ``_convolve``, the
-only place that multiplies term pairs, skips each exponent above that window's
-ceiling.  ``HalfLaurent.__mul__``, series multiplication and ``invert`` all
-call it; ``_square`` folds the same windows over the unordered degree pairs
-and convolves each off-diagonal pair once.  ``power`` keeps every power it
-forms on its base, so the powers of one base share their squarings.
+Every product goes through one of two kernels, which share one window fold
+and one term-pair loop.  ``_fold`` folds the window of a q-degree from the
+factor windows in one pass over its degree pairs and names the live pairs
+(both sides with a floor).  ``_convolve``, the only place that multiplies
+term pairs, walks each right factor's terms in increasing exponent and stops
+at that window's ceiling, so no term above it is formed; it drops zero sums
+once, at the end.  ``_degree_product`` folds the ordered degree pairs and is
+behind ``HalfLaurent.__mul__``, series multiplication and ``invert``;
+``_square`` folds the unordered pairs and convolves each off-diagonal pair
+once, one side doubled.  ``_invert_laurent`` runs the recurrence of the q^0
+inverse over the nonzero terms of its row.  ``power`` keeps every power it
+forms on its base, so the powers of one base share their squarings.  A
+comparison walks the exponents of a degree only where its two stored rows
+differ.
 ``PQSeries.exact`` is the one constructor for exactly-known data: row d gets
 the window (min exponent, None), or (None, None) when it is zero.
 
@@ -174,18 +181,6 @@ def _add_window(wa, wb):
     return (min(la, lb), _min_hi(wa[1], wb[1]))
 
 
-def _mul_pair_window(wa, wb):
-    (la, ha), (lb, hb) = wa, wb
-    if la is None or lb is None:
-        return (None, None)
-    cons = []
-    if hb is not None:
-        cons.append(la + hb)
-    if ha is not None:
-        cons.append(lb + ha)
-    return (la + lb, min(cons) if cons else None)
-
-
 def _span(windows, rows):
     """Aggregate (lo, hi) of per-degree windows: the lowest floor and the weakest
     ceiling, or, when no degree has a ceiling, the top exponent stored in rows."""
@@ -195,16 +190,6 @@ def _span(windows, rows):
     if his:
         return (lo, min(his))
     return (lo, max([lo] + [hl.max_exp() for hl in rows if not hl.is_zero()]))
-
-
-def _check_window(w):
-    lo, hi = w
-    if lo is None:
-        if hi is not None:
-            raise ValueError("window (None, hi) is not meaningful")
-        return
-    if hi is not None and hi < lo:
-        raise WindowExhausted("empty knowledge window [%s, %s]" % (lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +205,23 @@ class PQSeries:
         if q_order < 0:
             raise ValueError("q_order must be nonnegative")
         coeffs = tuple(coeffs)
-        windows = tuple((lo, hi) for lo, hi in windows)
+        windows = tuple(map(tuple, windows))
         if len(coeffs) != q_order + 1 or len(windows) != q_order + 1:
             raise ValueError("need q_order + 1 coefficients and windows")
         for hl, (lo, hi) in zip(coeffs, windows):
-            _check_window((lo, hi))
+            c = hl.c
             if lo is None:
-                if not hl.is_zero():
+                if hi is not None:
+                    raise ValueError("window (None, hi) is not meaningful")
+                if c:
                     raise ValueError("known-zero degree carries nonzero data")
-            elif not hl.is_zero():
-                if hl.min_exp() < lo:
-                    raise ValueError("stored support below window lo")
-                if hi is not None and hl.max_exp() > hi:
-                    raise ValueError("stored support above window hi")
+                continue
+            if hi is not None and hi < lo:
+                raise WindowExhausted("empty knowledge window [%s, %s]" % (lo, hi))
+            if c and min(c) < lo:
+                raise ValueError("stored support below window lo")
+            if c and hi is not None and max(c) > hi:
+                raise ValueError("stored support above window hi")
         self.q_order = q_order
         self.coeffs = coeffs
         self.windows = windows
@@ -368,20 +357,53 @@ def _binary_add(a, b):
 
 
 def _convolve(pairs, hi=None):
-    """Sum of x*y over the Laurent pairs (x, y), skipping every exponent above hi."""
+    """Sum of x*y over the Laurent pairs (x, y), skipping every exponent above hi.
+
+    y's terms are walked in increasing exponent, so each term e1 of x stops
+    at the first exponent of y above hi - e1.  Zero sums are dropped at the end.
+    """
     c = {}
+    get = c.get
     for x, y in pairs:
+        if not (x.c and y.c):
+            continue
+        ys = sorted(y.c.items())
+        cap = max(x.c) + ys[-1][0] if hi is None else hi
         for e1, v1 in x.c.items():
-            for e2, v2 in y.c.items():
+            top = cap - e1
+            for e2, v2 in ys:
+                if e2 > top:
+                    break
                 e = e1 + e2
-                if hi is not None and e > hi:
-                    continue
-                w = c.get(e, 0) + v1 * v2
-                if w:
-                    c[e] = w
-                else:
-                    del c[e]
+                c[e] = get(e, 0) + v1 * v2
+    if 0 in c.values():
+        c = {e: v for e, v in c.items() if v}
     return HalfLaurent._raw(c)
+
+
+def _fold(wa, wb, d, start, stop):
+    """The window of sum a_i b_(d-i) over start <= i < stop, and the i of its live terms.
+
+    A pair of degrees whose sides both have a floor is live: its floor is
+    la + lb and its ceiling min(la + hb, ha + lb), None (no ceiling) being
+    above every exponent.  The sum takes the lowest floor and the lowest
+    ceiling; with no live pair it is the known zero (None, None).
+    """
+    lo = hi = None
+    live = []
+    for i in range(start, stop):
+        la, ha = wa[i]
+        lb, hb = wb[d - i]
+        if la is None or lb is None:
+            continue
+        live.append(i)
+        if lo is None or la + lb < lo:
+            lo = la + lb
+        if hb is not None and (hi is None or la + hb < hi):
+            hi = la + hb
+        if ha is not None and (hi is None or ha + lb < hi):
+            hi = ha + lb
+    return (lo, hi), live
 
 
 def _degree_product(a, b, d, start=0):
@@ -391,13 +413,8 @@ def _degree_product(a, b, d, start=0):
     term above its knowledge ceiling is ever formed.
     """
     (ca, wa), (cb, wb) = a, b
-    window, pairs = (None, None), []
-    for i in range(start, d + 1):
-        w = _mul_pair_window(wa[i], wb[d - i])
-        if w[0] is not None:
-            window = _add_window(window, w)
-            pairs.append((ca[i], cb[d - i]))
-    return _convolve(pairs, window[1]), window
+    window, live = _fold(wa, wb, d, start, d + 1)
+    return _convolve([(ca[i], cb[d - i]) for i in live], window[1]), window
 
 
 def _binary_mul(a, b):
@@ -407,7 +424,7 @@ def _binary_mul(a, b):
 
 
 def _square(a):
-    """a * a, each off-diagonal pair of q-degrees convolved once and doubled.
+    """a * a, each off-diagonal pair of q-degrees convolved once, one side doubled.
 
     Equal (==) to _binary_mul(a, a).  The window of the degree pair
     (i, d - i) is symmetric in i <-> d - i, so folding the unordered pairs
@@ -418,13 +435,9 @@ def _square(a):
     ca, wa = a.coeffs, a.windows
     coeffs, windows = [], []
     for d in range(a.q_order + 1):
-        window, off, diag = (None, None), [], []
-        for i in range(d // 2 + 1):
-            w = _mul_pair_window(wa[i], wa[d - i])
-            if w[0] is not None:
-                window = _add_window(window, w)
-                (diag if 2 * i == d else off).append((ca[i], ca[d - i]))
-        coeffs.append(_convolve(off, window[1]).scale(2) + _convolve(diag, window[1]))
+        window, live = _fold(wa, wa, d, 0, d // 2 + 1)
+        pairs = [(ca[i].scale(2) if 2 * i < d else ca[i], ca[d - i]) for i in live]
+        coeffs.append(_convolve(pairs, window[1]))
         windows.append(window)
     return PQSeries(a.q_order, coeffs, windows)
 
@@ -443,11 +456,18 @@ def _invert_laurent(a0, lo0, hi0):
         raise WindowExhausted(
             "cannot invert an untruncated multi-term series; apply with_p_hi first"
         )
-    hi_b = hi0 - 2 * e0
-    b = {-e0: c}
-    for k in range(1, hi_b + e0 + 1):  # a0 * b = 1 fixes each term from the lower ones
-        b[-e0 + k] = -c * sum(a0[e0 + j] * b[-e0 + k - j] for j in range(1, k + 1))
-    return HalfLaurent(b), (-e0, hi_b)
+    # a0 * b = 1 fixes b's term at offset k from its lower terms, over the
+    # nonzero terms of a0 at offsets 1..k above e0
+    terms = sorted((e - e0, v) for e, v in a0.c.items() if e != e0)
+    b = [c]
+    for k in range(1, hi0 - e0 + 1):
+        s = 0
+        for j, v in terms:
+            if j > k:
+                break
+            s += v * b[k - j]
+        b.append(-c * s)
+    return HalfLaurent._raw({k - e0: v for k, v in enumerate(b) if v}), (-e0, hi0 - 2 * e0)
 
 
 def invert(a):
@@ -457,8 +477,8 @@ def invert(a):
     windows = [w0]
     for d in range(1, a.q_order + 1):
         s, ws = _degree_product((a.coeffs, a.windows), (coeffs, windows), d, start=1)
-        w = _mul_pair_window(w0, ws)
-        coeffs.append(-_convolve(((b0, s),), w[1]))
+        bd, w = _degree_product(((b0,), (w0,)), ((s,), (ws,)), 0)  # b0 * s, one degree pair
+        coeffs.append(-bd)
         windows.append(w)
     return PQSeries(a.q_order, coeffs, windows)
 
@@ -533,7 +553,14 @@ class SeriesComparison:
         self.side_a = side_a
         self.side_b = side_b
         self.first_discrepancy = next(
-            (pair for pair in self.pairs(in_region=True) if pair[2] != pair[3]), None
+            (
+                pair
+                for d in range(q_order + 1)
+                if side_a.coeffs[d] != side_b.coeffs[d]  # equal rows cannot differ anywhere
+                for pair in self._degree_pairs(d, True)
+                if pair[2] != pair[3]
+            ),
+            None,
         )
         self.equal = self.first_discrepancy is None
 
@@ -541,11 +568,14 @@ class SeriesComparison:
         """Yield (d, exp_half, lhs, rhs), in (d, exp_half) order, at each exponent
         either side stores, or only at those inside the compared region."""
         for d in range(self.q_order + 1):
-            lo, hi = self.regions[d]
-            ca, cb = self.side_a.coeffs[d].c, self.side_b.coeffs[d].c
-            for e in sorted(ca.keys() | cb.keys()):
-                if not in_region or ((lo is None or lo <= e) and (hi is None or e <= hi)):
-                    yield d, e, ca.get(e, 0), cb.get(e, 0)
+            yield from self._degree_pairs(d, in_region)
+
+    def _degree_pairs(self, d, in_region):
+        lo, hi = self.regions[d]
+        ca, cb = self.side_a.coeffs[d].c, self.side_b.coeffs[d].c
+        for e in sorted(ca.keys() | cb.keys()):
+            if not in_region or ((lo is None or lo <= e) and (hi is None or e <= hi)):
+                yield d, e, ca.get(e, 0), cb.get(e, 0)
 
     def window(self):
         """Aggregate (lo, hi) of the compared regions, from both sides' rows when uncapped."""

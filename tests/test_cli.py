@@ -421,6 +421,37 @@ def test_check_all_builds_each_product_unit_once(capsys, monkeypatch):
     assert len(set(built)) == len(built)
 
 
+def test_check_all_builds_each_multinomial_table_once(capsys, monkeypatch):
+    """symprod_check asks for the coefficients of each (e, q_order) once per table;
+    a pass builds each of them once."""
+    asked = []
+    real = dtseries._multinomials
+    monkeypatch.setattr(
+        dtseries, "_multinomials", lambda *args: asked.append(args) or real(*args)
+    )
+    vertex.clear_memo()
+    code, _, _ = run(capsys, "check", "all", "--q-order", "2", "--p-order", "5")
+    assert code == 0
+    assert {e for e, _ in asked} == set(range(-3, 4))
+    assert real.cache_info().misses == len(set(asked)) < len(asked)
+
+
+def test_check_all_raises_one_base_per_vertex_value(capsys, monkeypatch):
+    """V~(empty) and V~(box) are one object each in a pass, so their powers share squarings."""
+    bases = []
+    real_power = dtseries.power
+    monkeypatch.setattr(
+        dtseries, "power", lambda base, e: bases.append(base) or real_power(base, e)
+    )
+    vertex.clear_memo()
+    code, _, _ = run(capsys, "check", "all", "--q-order", "4", "--p-order", "8")
+    assert code == 0
+    for lam in (Partition(), Partition((1,))):
+        value = vertex.tilde_vertex(vertex.LegConfig(lam, Partition(), Partition()), 8).series()
+        objects = {id(b) for b in bases if b == value}  # bases holds every one alive
+        assert len(objects) == 1, lam
+
+
 def test_large_vertex_builds_its_poset_once(capsys, monkeypatch):
     """The size warning and the enumeration share one candidate poset."""
     monkeypatch.delenv("ELLIPTICDT_CACHE", raising=False)

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -22,8 +25,10 @@ from ellipticdt.dtseries import (
     identity_b,
     identity_c,
     symprod_check,
+    _multinomials,
     _symprod_products,
 )
+from ellipticdt.partitions import enumerate_partitions
 from ellipticdt.series import (
     HalfLaurent,
     PQSeries,
@@ -617,3 +622,18 @@ def test_memo_still_writes_each_cache_directory(tmp_path):
         build()
     cold = records(tmp_path / "cold")
     assert cold and records(tmp_path / "after_uncached") == cold
+
+
+def test_multinomials_equal_the_direct_formula():
+    """e(e-1)...(e-M+1)/prod m_i! for M parts, m_i of them of size i; zero terms left out."""
+    for e in range(-3, 4):
+        table = _multinomials(e, 6)
+        assert len(table) == 6
+        for d, terms in enumerate(table, 1):
+            want = {}
+            for lam in enumerate_partitions(d):
+                falling = math.prod(e - i for i in range(len(lam.parts)))
+                repeats = math.prod(math.factorial(m) for m in Counter(lam.parts).values())
+                if falling:
+                    want[lam.parts] = Fraction(falling, repeats)
+            assert dict(terms) == want, (e, d)

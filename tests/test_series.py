@@ -400,3 +400,15 @@ def test_comparison_report_schema():
     assert compare(a, a).to_json_dict()["window"] == [4, 6]
     lo, hi = compare(a, a, p_lo=10).window()
     assert lo <= hi
+
+
+def test_first_discrepancy_skips_equal_rows_and_differences_outside_the_region():
+    # degree 0 equal; degree 1 differs only at x^4, above b's ceiling 2, so
+    # outside the compared region (0, 2); degree 2 differs inside its region
+    a = series_from_rows([{0: 1}, {0: 1, 4: 5}, {1: 1}], [(0, None), (0, 4), (1, None)])
+    b = series_from_rows([{0: 1}, {0: 1}, {1: 2}], [(0, None), (0, 2), (1, None)])
+    cmp = compare(a, b)
+    assert cmp.regions[1] == (0, 2)
+    assert (1, 4, 5, 0) in cmp.pairs()
+    assert not cmp.equal
+    assert cmp.first_discrepancy == (2, 1, 1, 2)

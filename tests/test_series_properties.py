@@ -24,6 +24,8 @@ from ellipticdt.series import (  # noqa: E402
     PQSeries,
     WindowExhausted,
     _binary_mul,
+    _convolve,
+    _invert_laurent,
     _square,
     compare,
     euler_product,
@@ -207,6 +209,47 @@ def test_shared_powers_equal_products_of_copies(data):
 def test_square_equals_product_with_itself(data):
     a = data.draw(truncated(data.draw(exact_series())))
     assert _square(a) == _binary_mul(a, a)
+
+
+nonzero_terms = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9).filter(bool), max_size=6)
+
+
+@st.composite
+def shuffled_laurent(draw):
+    """A Laurent polynomial whose dict was filled in a random exponent order."""
+    return HalfLaurent(draw(st.permutations(sorted(draw(nonzero_terms).items()))))
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(shuffled_laurent(), shuffled_laurent()), max_size=4),
+    st.none() | st.integers(-16, 16),
+)
+def test_convolve_equals_the_unceiled_product_clipped(pairs, hi):
+    full = {}
+    for x, y in pairs:
+        for e1, v1 in x.c.items():
+            for e2, v2 in y.c.items():
+                full[e1 + e2] = full.get(e1 + e2, 0) + v1 * v2
+    want = HalfLaurent(full).clip(hi)
+    assert _convolve(pairs, hi) == want
+
+
+@PROPERTY
+@given(
+    st.integers(-4, 4),
+    st.sampled_from((1, -1)),
+    st.dictionaries(st.integers(1, 12), st.integers(-9, 9).filter(bool), max_size=5),
+    st.integers(0, 14),
+)
+def test_invert_laurent_of_a_gapped_row_holds_through_its_window(e0, lead, upper, width):
+    """a0 has zero coefficients between its terms; a0 * b = 1 wherever b is known."""
+    hi0 = e0 + width
+    a0 = HalfLaurent({e0: lead, **{e0 + j: v for j, v in upper.items() if j <= width}})
+    b, (lo, hi) = _invert_laurent(a0, e0, hi0)
+    assert (lo, hi) == (-e0, hi0 - 2 * e0)
+    assert b.min_exp() == lo and b.max_exp() <= hi
+    assert (a0 * b).clip(hi0 - e0) == HalfLaurent({0: 1})
 
 
 @PROPERTY
