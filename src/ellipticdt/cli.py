@@ -311,18 +311,17 @@ def _cmd_symprod(ns, out):
 
 
 def point_configs(max_degree):
-    """Every composition of d <= max_degree with every smooth/nodal assignment."""
-    out = [dtseries.PointConfig((), ())]
-    for d in range(1, max_degree + 1):
-        for k in range(1, d + 1):
-            for comp in itertools.product(range(1, d + 1), repeat=k):
-                if sum(comp) != d:
-                    continue
-                for mask in range(1 << k):
-                    smooth = tuple(comp[i] for i in range(k) if not (mask >> i) & 1)
-                    nodal = tuple(comp[i] for i in range(k) if (mask >> i) & 1)
-                    out.append(dtseries.PointConfig(smooth, nodal))
-    return out
+    """Every (smooth, nodal) pair of compositions of total <= max_degree, once, by degree."""
+    comps = [[()]]  # comps[n]: the compositions of n
+    for n in range(1, max_degree + 1):
+        comps.append([(k,) + rest for k in range(1, n + 1) for rest in comps[n - k]])
+    return [
+        dtseries.PointConfig(a, b)
+        for d in range(max_degree + 1)
+        for n in range(d + 1)
+        for a in comps[n]
+        for b in comps[d - n]
+    ]
 
 
 def _compared(name, a, b):

@@ -45,8 +45,6 @@ Every product constructor (``linear_factor``, ``macmahon``, whose shift 0 is
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class SeriesError(Exception):
     pass
@@ -148,8 +146,8 @@ class HalfLaurent:
             if e == 0:
                 term = str(abs(v))
             else:
-                exp = Fraction(e, 2)
-                pw = var if exp == 1 else "%s^%s" % (var, exp)
+                exp = e // 2 if e % 2 == 0 else "%d/2" % e
+                pw = var if e == 2 else "%s^%s" % (var, exp)
                 term = pw if abs(v) == 1 else "%d*%s" % (abs(v), pw)
             bits.append(("- " if v < 0 else "+ ") + term)
         head = bits[0][2:] if bits[0].startswith("+ ") else "-" + bits[0][2:]

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import ellipticdt
 from ellipticdt import dtseries, vertex
-from ellipticdt.cli import main
+from ellipticdt.cli import main, point_configs
 from ellipticdt.partitions import Partition
 from ellipticdt.series import PQSeries
 
@@ -450,6 +451,39 @@ def test_check_all_raises_one_base_per_vertex_value(capsys, monkeypatch):
         value = vertex.tilde_vertex(vertex.LegConfig(lam, Partition(), Partition()), 8).series()
         objects = {id(b) for b in bases if b == value}  # bases holds every one alive
         assert len(objects) == 1, lam
+
+
+def test_point_configs_are_every_pair_of_compositions_once():
+    """Against brute force: every (smooth, nodal) pair of positive tuples of total <= d."""
+    for d, size in enumerate((1, 3, 8, 20, 48, 112)):
+        tuples = [
+            t
+            for k in range(d + 1)
+            for t in itertools.product(range(1, d + 1), repeat=k)
+            if sum(t) <= d
+        ]
+        want = {(a, b) for a in tuples for b in tuples if sum(a) + sum(b) <= d}
+        got = [(pc.a, pc.b) for pc in point_configs(d)]
+        assert len(got) == len(set(got)) == size, d
+        assert set(got) == want, d
+        degrees = [sum(a) + sum(b) for a, b in got]
+        assert degrees == sorted(degrees), d
+
+
+def test_check_all_compares_each_point_config_once(capsys, monkeypatch):
+    """fd-cross calls f_d_compare once per (configuration, surface) and repeats none."""
+    calls = []
+    real = dtseries.f_d_compare
+
+    def noted(pc, surf, *args):
+        calls.append((pc, surf))
+        return real(pc, surf, *args)
+
+    monkeypatch.setattr(dtseries, "f_d_compare", noted)
+    vertex.clear_memo()
+    code, _, _ = run(capsys, "check", "all", "--q-order", "2", "--p-order", "5")
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 96  # 48 configurations on 2 surfaces
 
 
 def test_large_vertex_builds_its_poset_once(capsys, monkeypatch):

@@ -20,7 +20,9 @@ per weight table that ``check all --seed 1`` checks: the constant table, then
 the 20 tables ``cli._random_g_table`` draws from ``random.Random(1)``.
 One line per surface in ``cli.FD_PAIRS`` digests the ``f_d_compare`` JSON of
 every ``cli.point_configs(4)`` configuration at p-order 12, both f_d modes
-with their windows.
+with their windows, keyed by the configuration's ``(a, b)`` and sorted by it,
+so the line depends on each configuration's result and not on the order of
+the list or on repeats in it.
 Then one line digests ``tilde_vertex(cfg, 8).counts`` of every leg
 configuration with |lam| + |mu| + |nu| <= 4, the third leg included, which
 no command above sets; one line the counts of every configuration with legs
@@ -116,12 +118,15 @@ def symprod_digest(table):
 
 
 def fd_digest(eB, eS):
-    """(0 if every configuration is equal else 2, sha256 of every f_d_compare JSON at p^12)."""
+    """(0 if every configuration is equal else 2, sha256 of the sorted [[a, b], f_d_compare JSON]).
+
+    One entry per distinct configuration (a, b), compared at p^12."""
     vertex.clear_memo()
     surf = dtseries.SurfaceData(eB, eS)
-    reports = [dtseries.f_d_compare(pc, surf, 12) for pc in cli.point_configs(4)]
-    text = json.dumps([rep.to_json_dict() for rep in reports], sort_keys=True)
-    code = 0 if all(rep.equal for rep in reports) else 2
+    reports = {(pc.a, pc.b): dtseries.f_d_compare(pc, surf, 12) for pc in cli.point_configs(4)}
+    rows = [[list(key), reports[key].to_json_dict()] for key in sorted(reports)]
+    text = json.dumps(rows, sort_keys=True)
+    code = 0 if all(rep.equal for rep in reports.values()) else 2
     return code, hashlib.sha256(text.encode()).hexdigest()
 
 
