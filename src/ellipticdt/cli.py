@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import itertools
 import json
 import os
@@ -237,7 +236,7 @@ def _cmd_tangent(ns, out):
     desc = deform.CombCurveDescriptor(surf, ns.smooth_fibers, ns.nodal_fibers)
     ed = deform.euler_data(surf)
     payload = {
-        "euler_data": dataclasses.asdict(ed),
+        "euler_data": ed._asdict(),
         "chi_OC": deform.chi_OC(desc),
         "tangent_dim": deform.tangent_dim(desc),
         "behrend_sign": deform.behrend_sign(desc),
@@ -245,7 +244,7 @@ def _cmd_tangent(ns, out):
     }
     rows = [("partition", "arrow_classes", "haiman_basis_size", "vl_basis_size")]
     lines = [
-        "chi(O_S)=%d chi(O_B)=%d h0(N_B/T)=%d h0(N_B/S)=%d" % dataclasses.astuple(ed),
+        "chi(O_S)=%d chi(O_B)=%d h0(N_B/T)=%d h0(N_B/S)=%d" % tuple(ed),
         "chi(O_C)=%(chi_OC)d tangent_dim=%(tangent_dim)d behrend_sign=%(behrend_sign)+d" % payload,
     ]
     for lam in desc.all_fibers():

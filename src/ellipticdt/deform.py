@@ -8,35 +8,29 @@ placement rules directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dtseries import SurfaceData
 from .partitions import Partition
 
 
-@dataclass(frozen=True)
-class EulerData:
-    chiOS: int
-    chiOB: int
-    h0_NBT: int
-    h0_NBS: int
+class EulerData(namedtuple("EulerData", "chiOS chiOB h0_NBT h0_NBS")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CombCurveDescriptor:
-    """Discrete data of a section thickened by fibers: the surface numbers plus
-    the partitions at smooth-fiber and nodal-fiber points (all nonempty)."""
+class CombCurveDescriptor(namedtuple("CombCurveDescriptor", "surf smooth_fibers nodal_fibers")):
+    """Discrete data of a section thickened by fibers: the surface numbers (a
+    SurfaceData) plus the partitions at smooth-fiber and nodal-fiber points
+    (all nonempty)."""
 
-    surf: SurfaceData
-    smooth_fibers: tuple
-    nodal_fibers: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "smooth_fibers", tuple(self.smooth_fibers))
-        object.__setattr__(self, "nodal_fibers", tuple(self.nodal_fibers))
-        for lam in self.smooth_fibers + self.nodal_fibers:
+    def __new__(cls, surf, smooth_fibers, nodal_fibers):
+        smooth_fibers, nodal_fibers = tuple(smooth_fibers), tuple(nodal_fibers)
+        for lam in smooth_fibers + nodal_fibers:
             if not isinstance(lam, Partition) or not lam:
                 raise ValueError("fiber partitions must be nonempty Partitions")
+        return super().__new__(cls, surf, smooth_fibers, nodal_fibers)
 
     def degree(self):
         return sum(lam.size() for lam in self.smooth_fibers + self.nodal_fibers)
@@ -80,13 +74,11 @@ def behrend_sign(desc):
     return -1 if (ed.chiOS - chi_OC(desc)) % 2 else 1
 
 
-@dataclass(frozen=True)
-class HaimanArrow:
-    """A tangent-basis arrow from a cell outside the diagram to one inside."""
+class HaimanArrow(namedtuple("HaimanArrow", "tail head kind")):
+    """A tangent-basis arrow from a cell outside the diagram to one inside;
+    kind is "southeast" or "northwest"."""
 
-    tail: tuple
-    head: tuple
-    kind: str  # "southeast" or "northwest"
+    __slots__ = ()
 
 
 def haiman_basis_2d(lam):

@@ -31,7 +31,7 @@ each point product of f_d_series (_point_product) is built from its prefix.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 
 from .partitions import BOX, EMPTY, enumerate_partitions
@@ -51,41 +51,37 @@ from .series import (
 from .vertex import LegConfig, memoized, memoized_latest, tilde_vertex
 
 
-@dataclass(frozen=True)
-class SurfaceData:
+class SurfaceData(namedtuple("SurfaceData", "eB eS")):
     """Topological Euler characteristics of the base curve and the surface."""
 
-    eB: int
-    eS: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.eB % 2:
-            raise ValueError("eB must be even, got %d" % self.eB)
+    def __new__(cls, eB, eS):
+        if eB % 2:
+            raise ValueError("eB must be even, got %d" % eB)
+        return super().__new__(cls, eB, eS)
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(namedtuple("PointConfig", "a b")):
     """Multiplicities at smooth-fiber points (a) and nodal-fiber points (b)."""
 
-    a: tuple
-    b: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
-        if any(x < 1 for x in self.a) or any(x < 1 for x in self.b):
+    def __new__(cls, a, b):
+        a, b = tuple(int(x) for x in a), tuple(int(x) for x in b)
+        if any(x < 1 for x in a) or any(x < 1 for x in b):
             raise ValueError("point multiplicities must be positive")
+        return super().__new__(cls, a, b)
 
     def degree(self):
         return sum(self.a) + sum(self.b)
 
 
-@dataclass(frozen=True)
-class _Tilde:
-    """Normalized-vertex values as q-free series with window [0, 2*order]."""
+class _Tilde(namedtuple("_Tilde", "order cache")):
+    """Normalized-vertex values as q-free series with window [0, 2*order];
+    cache is a VertexCache or None."""
 
-    order: int
-    cache: object  # a VertexCache or None
+    __slots__ = ()
 
     def __call__(self, lam, mu, nu):
         return _record_series(tilde_vertex(LegConfig(lam, mu, nu), self.order, self.cache))

@@ -42,7 +42,7 @@ import contextlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -50,11 +50,8 @@ from .partitions import Partition
 from .series import HalfLaurent, PQSeries
 
 
-@dataclass(frozen=True)
-class LegConfig:
-    lam: Partition
-    mu: Partition
-    nu: Partition
+class LegConfig(namedtuple("LegConfig", "lam mu nu")):
+    __slots__ = ()
 
     def in_legs(self, rho, sigma, tau):
         """Number of legs containing the box (0..3)."""
@@ -89,14 +86,8 @@ class LegConfig:
         )
 
 
-@dataclass(frozen=True)
-class VertexRecord:
-    lam: Partition
-    mu: Partition
-    nu: Partition
-    order: int
-    counts: tuple
-    min_volume: int
+class VertexRecord(namedtuple("VertexRecord", "lam mu nu order counts min_volume")):
+    __slots__ = ()
 
     def series(self):
         """The normalized vertex as a q-free series with window [0, 2*order] half-units."""
@@ -116,12 +107,16 @@ class VertexRecord:
     @classmethod
     def from_json_dict(cls, data):
         """Read a record as to_json_dict writes it; counts other than a list of
-        nonnegative decimal strings raise ValueError."""
+        nonnegative decimal strings, and an order or minimal volume other than
+        a JSON integer, raise ValueError."""
         counts = data["counts"]
         if not isinstance(counts, list) or not all(
             isinstance(c, str) and c.isascii() and c.isdigit() for c in counts
         ):
             raise ValueError("counts must be a list of nonnegative decimal strings")
+        # 4.0 and true compare equal to the ints 4 and 1, so test the type
+        if type(data["order"]) is not int or type(data["min_volume"]) is not int:
+            raise ValueError("order and min_volume must be integers")
         return cls(
             lam=Partition(data["lam"]),
             mu=Partition(data["mu"]),
@@ -354,22 +349,23 @@ def _slice_counts(cands, order):
     return [total >> n * width & (1 << width) - 1 for n in range(order + 1)]
 
 
-@dataclass(frozen=True)
-class VertexCache:
+class VertexCache(namedtuple("VertexCache", "directory")):
     """Directory of JSON vertex records keyed by the canonical leg/order string.
 
     Lookups use the exact key only; writes are atomic (temp file + rename), so
     concurrent identical computations race benignly.  IO failures, and records
     whose legs, order, counts or minimal volume do not fit the key, are treated
-    as cache misses, so a damaged or misplaced file never changes a result.
-    The directory is held as an absolute path, so two caches are equal when
-    they name the same directory, whatever the working directory was.
+    as cache misses, so a damaged or misplaced file never changes a result;
+    an order or minimal volume stored as a float or a bool is such a misfit.
+    A cache is an immutable 1-tuple of its directory, made absolute when the
+    cache is built, so two caches are equal, and hash equally, when they name
+    the same directory, whatever the working directory was.
     """
 
-    directory: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "directory", os.path.abspath(self.directory))
+    def __new__(cls, directory):
+        return super().__new__(cls, os.path.abspath(directory))
 
     def _path(self, key):
         return os.path.join(self.directory, key.replace("|", "_") + ".json")

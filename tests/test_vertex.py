@@ -423,6 +423,28 @@ def test_cache_record_with_bad_order_or_constant_term_is_a_miss(tmp_path):
     assert cache.get(cfg, 4) == rec1
 
 
+def test_cache_record_with_a_float_or_bool_order_or_volume_is_a_miss(tmp_path):
+    """4.0, -2.0, true and false compare equal to the ints 4, -2, 1 and 0, so a
+    record holding them fits the key by value; it is still a miss, else a
+    float or bool would be served, and printed, as the order or volume."""
+    cache = VertexCache(tmp_path)
+    for parts, order, changes in (
+        (((2, 1), (1,), ()), 4, {"order": 4.0}),
+        (((2, 1), (1,), ()), 4, {"min_volume": -2.0}),
+        (((1,), (), ()), 1, {"order": True}),
+        (((1,), (), ()), 1, {"min_volume": False}),
+    ):
+        cfg = legs(*parts)
+        clear_memo()
+        rec = tilde_vertex(cfg, order, cache)
+        _rewrite_record(cache, cfg, order, changes)
+        assert cache.get(cfg, order) is None, changes
+        clear_memo()
+        rec2 = tilde_vertex(cfg, order, cache)
+        assert rec2 == rec and type(rec2.order) is int and type(rec2.min_volume) is int
+        assert cache.get(cfg, order) == rec  # the record was rewritten with ints
+
+
 def test_record_slicing_consistency():
     cfg = legs((2, 1), (), ())
     big = tilde_vertex(cfg, 7)

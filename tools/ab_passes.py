@@ -17,6 +17,13 @@ sides alternate for --pairs pairs, the side that goes first flipping every
 pair.  The script prints each side's median wall and CPU time with their
 quartiles and how many pairs each side won on wall time; it exits 1 if any
 pass failed its gate.
+
+Then it times the import of each checkout's ``ellipticdt.cli`` the way
+perfbench's ``setup_s`` does (``IMPORT_CODE`` in a fresh ``python -I``
+child), for --pairs alternating pairs after one uncounted import of each
+side, and prints each side's median and quartiles and how many pairs each
+side won.  perfbench takes 9 imports of one tree, whose spread can exceed
+the bound on ``setup_s``; alternating pairs show which side imports faster.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import io
 import os
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -76,9 +84,31 @@ class Side(perfbench.Workload):
         return out.getvalue()
 
 
+def import_seconds(checkout):
+    """Seconds a fresh `python -I` child takes to import checkout's ellipticdt.cli."""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", perfbench.IMPORT_CODE, str(Path(checkout) / "src")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    if proc.returncode != 0:
+        raise SystemExit("error: importing %s failed:\n%s" % (checkout, proc.stderr))
+    return float(proc.stdout)
+
+
 def summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return "median %.4f s [%.4f, %.4f]" % (median, q1, q3)
+
+
+def wins(times):
+    """Pairs each side won (ties count for neither)."""
+    won = {s: 0 for s in SIDES}
+    for ta, tb in zip(times["a"], times["b"]):
+        if ta != tb:
+            won["a" if ta < tb else "b"] += 1
+    return won
 
 
 def main(argv=None):
@@ -93,11 +123,12 @@ def main(argv=None):
         parser.error("--pairs must be at least 2")
 
     os.environ.pop(perfbench.CACHE_ENV, None)
+    paths = dict(zip(SIDES, (args.a, args.b)))
     scratch = tempfile.mkdtemp(prefix="ab-passes-")
     try:
         sides = {
             s: Side(load(path, "ellipticdt_" + s), args.workload, args.seed, scratch)
-            for s, path in zip(SIDES, (args.a, args.b))
+            for s, path in paths.items()
         }
         first = {s: side.first_stdout() for s, side in sides.items()}
         if first["a"] != first["b"]:
@@ -116,22 +147,33 @@ def main(argv=None):
                 cpu[s].append(c)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
+    for path in paths.values():
+        import_seconds(path)  # not counted: it may compile the bytecode cache
+    imports = {s: [] for s in SIDES}
+    for i in range(args.pairs):
+        for s in SIDES if i % 2 == 0 else SIDES[::-1]:
+            imports[s].append(import_seconds(paths[s]))
 
-    won = {s: 0 for s in SIDES}
-    for wa, wb in zip(wall["a"], wall["b"]):
-        if wa != wb:
-            won["a" if wa < wb else "b"] += 1
+    won, won_import = wins(wall), wins(imports)
     print(
         "workload %s, seed %d, %d pairs, first stdout identical"
         % (args.workload, args.seed, args.pairs)
     )
-    for s, path in zip(SIDES, (args.a, args.b)):
+    for s, path in paths.items():
         print(
             "%s %s: wall %s, cpu %s, won %d of %d pairs"
             % (s, path, summary(wall[s]), summary(cpu[s]), won[s], args.pairs)
         )
     ratio = statistics.median(wall["b"]) / statistics.median(wall["a"]) - 1
     print("b against a, median wall: %+.1f%%" % (100 * ratio))
+    print("import of ellipticdt.cli, %d pairs of fresh `python -I` children" % args.pairs)
+    for s, path in paths.items():
+        print(
+            "%s %s: import %s, won %d of %d pairs"
+            % (s, path, summary(imports[s]), won_import[s], args.pairs)
+        )
+    ratio = statistics.median(imports["b"]) / statistics.median(imports["a"]) - 1
+    print("b against a, median import: %+.1f%%" % (100 * ratio))
     for detail in failures:
         print("FAILED pass: %s" % detail)
     return 1 if failures else 0
