@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from functools import reduce
+from functools import partial, reduce
 
 from .partitions import BOX, EMPTY, enumerate_partitions
 from .series import (
@@ -48,7 +48,7 @@ from .series import (
     substitute_neg_p,
     theta,
 )
-from .vertex import LegConfig, memoized, memoized_latest, tilde_vertex
+from .vertex import LegConfig, expect, memoized, memoized_latest, tilde_vertex
 
 
 class SurfaceData(namedtuple("SurfaceData", "eB eS")):
@@ -138,13 +138,29 @@ def _raised(unit, e, *args):
 
 @memoized
 def _q_series(row, q_order, t):
-    """The q-series whose q^d coefficient is the q-free series row(d, t), d <= q_order."""
+    """The q-series whose q^d coefficient is the q-free series row(d, t), d <= q_order.
+
+    It first notes every config the rows up to q_order ask for, so the first
+    record the pass counts at t.order counts them all in one walk.
+    """
+    expect(t.order, partial(_row_legs, q_order))
     rows = [row(d, t) for d in range(q_order + 1)]
     return PQSeries(q_order, [r.coeffs[0] for r in rows], [r.windows[0] for r in rows])
 
 
 # ---------------------------------------------------------------------------
 # The three vertex sums of the trace identities, one q-free row per degree d
+
+
+def _row_legs(q_order):
+    """The leg configs the rows of degree <= q_order ask for: (lam, empty, empty)
+    (each inverse), (lam, box, empty) and (lam, lam', empty), |lam| <= q_order."""
+    return [
+        LegConfig(lam, mu, EMPTY)
+        for d in range(q_order + 1)
+        for lam in enumerate_partitions(d)
+        for mu in (EMPTY, BOX, lam.conjugate())
+    ]
 
 
 @memoized

@@ -21,12 +21,34 @@ the 2D ideals of the new slice once, each taking the sum at the boxes under
 its lifted boxes.  Only this counting is taken from the slicing picture; no
 Schur-function formula is used.  A size polynomial is packed into one int
 with a fixed number of bits per coefficient; that width is one bit more than
-C(N + order, order) needs, N the number of candidate boxes, which bounds
-every coefficient (see _slice_counts).
+C(N + order, order) needs, N the largest number of candidate boxes of the
+configurations counted together, which bounds every coefficient (see _walk).
+
+A pass counts many configurations at one order, and counts them in one walk.
+dtseries notes with expect() the configurations its rows will ask for; the
+first record the pass counts at that order counts all of them not yet
+counted (_counts), and the later records read their counts back.  The walk
+counts one configuration per orbit under the maps built from cyclic and
+conjugate_swap, in that configuration's own orientation, and counts the
+tau-slices that several configurations share once (see _walk).
+
+The orbit maps keep the counts.  cyclic is the rotation g(r, s, t) =
+(t, r, s) and conjugate_swap the transposition h(r, s, t) = (s, r, t).  Each
+permutes the coordinates, so it is a bijection of Z^3_{>=0} that keeps the
+componentwise order both ways.  g sends leg 1 of (lam, mu, nu) onto leg 2 of
+cyclic() = (nu, lam, mu): the box (tau, rho, sigma) lies in that leg iff
+(sigma, tau) lies in lam, the leg-1 test of (rho, sigma, tau); likewise leg 2
+onto leg 3 and leg 3 onto leg 1.  h sends legs 1, 2, 3 of (lam, mu, nu) onto
+legs 2, 1, 3 of conjugate_swap() = (mu', lam', nu'), since (a, b) lies in
+lam' iff (b, a) lies in lam.  So each map, and each composite of the six,
+sends pi_min onto pi_min of the image and P onto its P as an order
+isomorphism, which sends the n-box order ideals of one onto those of the
+other: the counts are equal.
 
 Vertex records and the dtseries building blocks are memoized in process, each
 builder in its own functools.lru_cache keyed by its arguments (the cache
-directory included); clear_memo() empties them all.
+directory included); clear_memo() empties them all, with the walks' counts
+and the configurations noted by expect().
 
 Box membership convention (shared with partitions.Partition.contains):
 a box (rho, sigma, tau) lies in
@@ -40,6 +62,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import operator
 import os
 import tempfile
 from collections import namedtuple
@@ -107,8 +130,9 @@ class VertexRecord(namedtuple("VertexRecord", "lam mu nu order counts min_volume
     @classmethod
     def from_json_dict(cls, data):
         """Read a record as to_json_dict writes it; counts other than a list of
-        nonnegative decimal strings, and an order or minimal volume other than
-        a JSON integer, raise ValueError."""
+        nonnegative decimal strings, an order or minimal volume other than a
+        JSON integer, and legs other than lists of JSON integers raise
+        ValueError."""
         counts = data["counts"]
         if not isinstance(counts, list) or not all(
             isinstance(c, str) and c.isascii() and c.isdigit() for c in counts
@@ -117,6 +141,9 @@ class VertexRecord(namedtuple("VertexRecord", "lam mu nu order counts min_volume
         # 4.0 and true compare equal to the ints 4 and 1, so test the type
         if type(data["order"]) is not int or type(data["min_volume"]) is not int:
             raise ValueError("order and min_volume must be integers")
+        for leg in ("lam", "mu", "nu"):  # Partition takes int() of each part
+            if not isinstance(data[leg], list) or any(type(x) is not int for x in data[leg]):
+                raise ValueError("lam, mu and nu must be lists of integers")
         return cls(
             lam=Partition(data["lam"]),
             mu=Partition(data["mu"]),
@@ -132,23 +159,25 @@ def minimal_volume(cfg):
 
     Boxes lying in a single leg contribute 0 and boxes in k >= 2 legs
     contribute 1 - k, so only the (bounded) pairwise intersections matter.
+    With I_ab the boxes in legs a and b and I_123 those in all three, the
+    three pairs count a box of exactly two legs once and a box of all three
+    three times, so the volume is |I_123| - (|I_12| + |I_13| + |I_23|).  As
+    leg 1 = {(r, s, t): s < lam_t}, leg 2 = {t < mu_r} and leg 3 =
+    {r < nu_s}, |I_12| sums lam_t * mu'_t over t, |I_13| sums lam'_s * nu_s
+    over s and |I_23| sums mu_r * nu'_r over r.
     """
-    r = max(
-        cfg.lam.first_part(),
-        cfg.lam.length(),
-        cfg.mu.first_part(),
-        cfg.mu.length(),
-        cfg.nu.first_part(),
-        cfg.nu.length(),
+    lam, mu, nu = cfg.lam.parts, cfg.mu.parts, cfg.nu.parts
+    lam_c, mu_c, nu_c = (leg.conjugate().parts for leg in cfg)
+    pairs = sum(map(operator.mul, lam, mu_c))
+    pairs += sum(map(operator.mul, lam_c, nu)) + sum(map(operator.mul, mu, nu_c))
+    triples = sum(
+        1
+        for rho, m in enumerate(mu)
+        for tau in range(m)
+        for sigma in range(lam[tau] if tau < len(lam) else 0)
+        if sigma < len(nu) and rho < nu[sigma]
     )
-    vol = 0
-    for rho in range(r):
-        for sigma in range(r):
-            for tau in range(r):
-                k = cfg.in_legs(rho, sigma, tau)
-                if k >= 2:
-                    vol += 1 - k
-    return vol
+    return triples - pairs
 
 
 _MEMOS = []  # every memoized builder's lru_cache, each emptied by clear_memo()
@@ -178,11 +207,18 @@ def memoized_latest(build):
     return cached
 
 
+_EXPECTED = {}  # order -> functions listing the configs a pass will ask for there
+_COUNTED = {}  # (cfg, order) -> counts, from the walk that counted them
+
+
 def clear_memo():
-    """Drop the in-process memo: vertex records, the latest candidate poset and
-    the dtseries building blocks (disk caches are unaffected)."""
+    """Drop the in-process memo: vertex records, the counts of the walks, the
+    configs a pass expects, the latest candidate poset and the dtseries
+    building blocks (disk caches are unaffected)."""
     for cached in _MEMOS:
         cached.cache_clear()
+    _EXPECTED.clear()
+    _COUNTED.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -238,37 +274,147 @@ def _candidate_poset(cfg, order):
     return cands
 
 
+def _orbit_key(cfg):
+    """One key for every config in the orbit of cfg under the six maps built from
+    cyclic and conjugate_swap: the least of the six images' parts."""
+    c1 = cfg.cyclic()
+    c2 = c1.cyclic()
+    images = (cfg, c1, c2, cfg.conjugate_swap(), c1.conjugate_swap(), c2.conjugate_swap())
+    return min((x.lam.parts, x.mu.parts, x.nu.parts) for x in images)
+
+
+def _reach(cfg):
+    """How high along tau the legs lam and mu reach."""
+    return max(cfg.lam.length(), cfg.mu.first_part())
+
+
+def _count_batch(cfgs, order):
+    """The counts of each of cfgs at order, as tuples: one walk, one count per orbit.
+
+    Each orbit is counted once, in the orientation of one of its members in
+    cfgs, and its other members get the same counts: see the module
+    docstring for why the maps keep the counts.  The member is the first
+    whose first two legs reach highest along tau (len(lam) and mu_1): such a
+    leg spreads the cells over more and smaller slices.  Of the two
+    orientations of each (lam, empty, empty), (lam', empty, empty) that a
+    pass counts, the taller one made its posets and walk about 5% faster at
+    q6/p12 and 9% at q8/p16 than the other (Python 3.11, 2 vCPUs).
+    """
+    orbits = [_orbit_key(cfg) for cfg in cfgs]
+    reps = {}
+    for key, cfg in zip(orbits, cfgs):
+        if key not in reps or _reach(cfg) > _reach(reps[key]):
+            reps[key] = cfg
+    counts = _walk((_candidate_poset(rep, order) for rep in reps.values()), order)
+    by_orbit = dict(zip(reps, map(tuple, counts)))
+    return [by_orbit[key] for key in orbits]
+
+
 def _slice_counts(cands, order):
-    """Counts of order ideals by size, built one tau-slice at a time.
+    """Counts of the order ideals of one candidate set by size: a walk of one."""
+    return _walk([cands], order)[0]
 
-    P is upward closed in Z^3_{>=0}, so its order is generated by the three
-    unit covering relations inside P, and an ideal is exactly a sequence of
-    2D ideals J_0, J_1, ... of the tau-slices in which a box (r, s, tau) may
-    enter J_tau only when its tau-predecessor (r, s, tau - 1) is not in P or
-    lies in J_{tau-1}.  A box of P below a candidate is a candidate, so "not
-    in P" reads "not a candidate" here.  A transfer-matrix state is one J_tau,
-    a bitmask over the slice's sorted boxes, mapped to the size polynomial
-    (truncated at `order`) of all ideals ending in it; a state with a zero
-    polynomial is never formed.
 
-    A size polynomial is packed into one int, coefficient n in bits
+def _slices(cands, cells_seen):
+    """The sorted cells of each tau-slice of a sorted candidate set.
+
+    Each cell is the one tuple cells_seen holds for it, so the slices of many
+    sets take little more memory than their references.
+    """
+    slices = {}
+    for rho, sigma, tau in cands:  # sorted, so each slice comes out sorted
+        cell = (rho, sigma)
+        slices.setdefault(tau, []).append(cells_seen.setdefault(cell, cell))
+    return [tuple(slices.get(tau, ())) for tau in range(max(slices, default=-1) + 1)]
+
+
+def _walk(cand_sets, order):
+    """Counts of order ideals by size, for each candidate set, in one walk over
+    their tau-slices that counts the slices shared by a run of sets once.
+
+    Slices.  P is upward closed in Z^3_{>=0}, so its order is generated by
+    the three unit covering relations inside P, and an ideal is exactly a
+    sequence of 2D ideals J_0, J_1, ... of the tau-slices in which a box
+    (r, s, tau) may enter J_tau only when its tau-predecessor (r, s, tau - 1)
+    is not in P or lies in J_{tau-1}.  A box of P below a candidate is a
+    candidate, so "not in P" reads "not a candidate" here.  A transfer-matrix
+    state is one J_tau, a bitmask over the slice's sorted boxes, mapped to the
+    size polynomial (truncated at `order`) of all ideals ending in it; a state
+    with a zero polynomial is never formed.  _step makes one step; the states
+    start as {0: 1} below slice 0, and the answer is the sum of the states of
+    the last slice.
+
+    Width.  A size polynomial is packed into one int, coefficient n in bits
     [n*width, (n+1)*width).  Coefficient n of any state, of any sum of states
-    and of the final counts counts distinct n-box subsets of the candidates,
-    so it is at most C(N, n) <= C(N + n, n) <= C(N + order, order) with
-    N = len(cands); width has one bit to spare above that bound, so no sum
-    carries into the next coefficient.  Merging two states is then one
-    addition, and extending a state by a k-box slice ideal is a shift by
-    k*width with the coefficients above `order` masked off.
+    and of the final counts of a set counts distinct n-box subsets of its
+    candidates, so it is at most C(N, n) <= C(N + n, n) <= C(N + order, order)
+    with N the number of candidates.  The walk takes N as the largest of all
+    its sets, which only raises the bound, and width has one bit to spare
+    above it, so no sum of any set carries into the next coefficient.
+    Merging two states is then one addition, and extending a state by a k-box
+    slice ideal is a shift by k*width with the coefficients above `order`
+    masked off.
 
-    One step from slice tau - 1 to slice tau is a superset sum (a zeta
-    transform over the lattice of 2D ideals).  Call a box (r, s, tau) lifted
-    when (r, s, tau - 1) is a candidate, and let pi map it to that box.  J
-    may follow S exactly when pi(J & lifted) <= S, so the new state of J is
-    x^|J| Z[pi(J & lifted)], where Z[I] sums the old states S with I <= S,
-    that is with I <= S & pi(lifted).  So the states are not kept one by
-    one: the search adds each to the sum of its key S & pi(lifted) for the
-    next slice, and the step starts from these sums.  The facts this rests
-    on:
+    Shared prefixes.  Step tau reads only the cells of slice tau, those of
+    slice tau - 1 (through their bits) and the states step tau - 1 returned,
+    which it leaves unchanged; the width is the walk's.  By induction the
+    states after step tau depend only on the cells of slices 0..tau, so two
+    sets whose slices agree up to tau have equal states there.  The walk
+    sorts the sets by their sequences of slice cells, so the sets sharing a
+    prefix are adjacent, and resumes each set from the path: the states after
+    each step it shares with the set before it.  That holds for the next set
+    as well, because a set stores its states after step tau only when the
+    next set shares step tau, and ends by cutting the path to the steps the
+    next set shares.  A set that shares all its slices with the one before
+    reads its counts off the path.  A step returns its states whole, and the
+    next step sums them by the key it needs, so what step tau returns does
+    not depend on slice tau + 1.  Keyed also by the cells under the next
+    slice, the 75 sets of a q6/p12 pass would share less: 7003 cells counted
+    against 5759.
+    """
+    runs, width, cells_seen = [], 0, {}
+    for i, cands in enumerate(cand_sets):
+        runs.append((_slices(cands, cells_seen), i))
+        width = max(width, comb(len(cands) + order, order).bit_length() + 1)
+    runs.sort()
+    full = (1 << (order + 1) * width) - 1
+    out = [None] * len(runs)
+    path = []  # path[tau]: (states, cells' bits) after slice tau, while later sets share it
+    for j, (slices, i) in enumerate(runs):
+        keep = _shared(slices, runs[j + 1][0]) if j + 1 < len(runs) else 0
+        states, below = path[-1] if path else ({0: 1}, {})
+        for tau in range(len(path), len(slices)):
+            states, below = _step(slices[tau], below, states, width, full, order)
+            if tau < keep:
+                path.append((states, below))
+        del path[keep:]
+        total = sum(states.values())
+        out[i] = [total >> n * width & (1 << width) - 1 for n in range(order + 1)]
+    return out
+
+
+def _shared(slices, other):
+    """The number of leading slices two sequences of slices share."""
+    n = 0
+    for a, b in zip(slices, other):
+        if a != b:
+            break
+        n += 1
+    return n
+
+
+def _step(cells, below, old, width, full, order):
+    """One transfer-matrix step: the states of the slice with these sorted
+    cells, from the states `old` of the slice below, whose cells have the
+    bits `below`, left unchanged; returns them with the bits of its cells.
+
+    The step is a superset sum (a zeta transform over the lattice of 2D
+    ideals).  Call a box (r, s, tau) lifted when (r, s, tau - 1) is a
+    candidate, and let pi map it to that box.  J may follow S exactly when
+    pi(J & lifted) <= S, so the new state of J is x^|J| Z[pi(J & lifted)],
+    where Z[I] sums the old states S with I <= S, that is with
+    I <= S & pi(lifted).  So the step first sums the old states by their key
+    S & pi(lifted), and builds Z from these sums.  The facts this rests on:
 
     * The states are closed under sub-ideals: putting a 2D ideal S' <= S in
       place of the top slice S of an ideal keeps every box over its
@@ -293,60 +439,49 @@ def _slice_counts(cands, order):
       the one search of the slice's 2D ideals can skip J's box there for
       good; it yields each surviving J once.
     * Coefficient n of Z[I] counts distinct n-box ideals (each ideal ends
-      in one state), so the width bound above still holds.
+      in one state), so the width bound of _walk still holds.
     """
-    slices = {}
-    for rho, sigma, tau in cands:  # sorted, so each slice comes out sorted
-        slices.setdefault(tau, []).append((rho, sigma))
-    width = comb(len(cands) + order, order).bit_length() + 1
-    full = (1 << (order + 1) * width) - 1
-    sums = {0: 1}  # the states of the slice below, summed by key S & pi(lifted)
-    below = {}  # (rho, sigma) -> bit of that box in the slice underneath
-    for tau in range(max(slices, default=-1) + 1):
-        cells = slices.get(tau, [])
-        bit = {cell: j for j, cell in enumerate(cells)}
-        # the boxes under the next slice's lifted boxes, which key its sums
-        onward = sum(1 << bit[cell] for cell in slices.get(tau + 1, ()) if cell in bit)
-        preds, succs, proj = [], [], []
-        for rho, sigma in cells:
-            preds.append(sum(1 << bit[c] for c in ((rho - 1, sigma), (rho, sigma - 1)) if c in bit))
-            succs.append([bit[c] for c in ((rho + 1, sigma), (rho, sigma + 1)) if c in bit])
-            proj.append(1 << below[(rho, sigma)] if (rho, sigma) in below else 0)
-        zeta = sums  # made Z in place, one pass per box of pi(lifted)
-        for x in sorted(filter(None, proj), reverse=True):
-            for key in zeta:
-                if not key & x and key | x in zeta:
-                    zeta[key] += zeta[key | x]
-        lows = {key: ((z & -z).bit_length() - 1) // width for key, z in zeta.items()}
-        # Each 2D ideal J is generated once by branching on the lowest ready
-        # box: it is either added, or skipped for good, which removes its whole
-        # up-set because those boxes never become ready.  A stack entry is
-        # (J, ready boxes, |J|, pi(J & lifted)).
-        sums = {0: zeta[0]}
-        ready = sum(1 << j for j, mask in enumerate(preds) if not mask)
-        stack = [(0, ready, 0, 0)]
-        while stack:
-            ideal, ready, k, key = stack.pop()
-            k += 1
-            while ready:
-                low = ready & -ready
-                ready ^= low
-                j = low.bit_length() - 1
-                grown_key = key | proj[j]
-                if grown_key not in zeta or lows[grown_key] + k > order:
-                    continue
-                grown = ideal | low
-                out = grown & onward
-                sums[out] = sums.get(out, 0) + ((zeta[grown_key] << k * width) & full)
-                if lows[grown_key] + k < order:
-                    opened = ready
-                    for s in succs[j]:
-                        if not preds[s] & ~grown:
-                            opened |= 1 << s
-                    stack.append((grown, opened, k, grown_key))
-        below = bit
-    total = sums[0]  # no slice follows the last, so every state has key 0
-    return [total >> n * width & (1 << width) - 1 for n in range(order + 1)]
+    bit = {cell: j for j, cell in enumerate(cells)}
+    preds, succs, proj = [], [], []
+    for rho, sigma in cells:
+        preds.append(sum(1 << bit[c] for c in ((rho - 1, sigma), (rho, sigma - 1)) if c in bit))
+        succs.append([bit[c] for c in ((rho + 1, sigma), (rho, sigma + 1)) if c in bit])
+        proj.append(1 << below[(rho, sigma)] if (rho, sigma) in below else 0)
+    lifted = sum(proj)  # pi(lifted): one distinct bit per lifted box
+    zeta = {}
+    for state, value in old.items():
+        zeta[state & lifted] = zeta.get(state & lifted, 0) + value
+    for x in sorted(filter(None, proj), reverse=True):  # Z in place, one pass per box
+        for key in zeta:
+            if not key & x and key | x in zeta:
+                zeta[key] += zeta[key | x]
+    lows = {key: ((z & -z).bit_length() - 1) // width for key, z in zeta.items()}
+    # Each 2D ideal J is generated once by branching on the lowest ready
+    # box: it is either added, or skipped for good, which removes its whole
+    # up-set because those boxes never become ready.  A stack entry is
+    # (J, ready boxes, |J|, pi(J & lifted)).
+    states = {0: zeta[0]}
+    ready = sum(1 << j for j, mask in enumerate(preds) if not mask)
+    stack = [(0, ready, 0, 0)]
+    while stack:
+        ideal, ready, k, key = stack.pop()
+        k += 1
+        while ready:
+            low = ready & -ready
+            ready ^= low
+            j = low.bit_length() - 1
+            grown_key = key | proj[j]
+            if grown_key not in zeta or lows[grown_key] + k > order:
+                continue
+            grown = ideal | low
+            states[grown] = (zeta[grown_key] << k * width) & full
+            if lows[grown_key] + k < order:
+                opened = ready
+                for s in succs[j]:
+                    if not preds[s] & ~grown:
+                        opened |= 1 << s
+                stack.append((grown, opened, k, grown_key))
+    return states, bit
 
 
 class VertexCache(namedtuple("VertexCache", "directory")):
@@ -356,7 +491,8 @@ class VertexCache(namedtuple("VertexCache", "directory")):
     concurrent identical computations race benignly.  IO failures, and records
     whose legs, order, counts or minimal volume do not fit the key, are treated
     as cache misses, so a damaged or misplaced file never changes a result;
-    an order or minimal volume stored as a float or a bool is such a misfit.
+    an order, minimal volume or leg part stored as a float or a bool is such
+    a misfit.
     A cache is an immutable 1-tuple of its directory, made absolute when the
     cache is built, so two caches are equal, and hash equally, when they name
     the same directory, whatever the working directory was.
@@ -384,6 +520,10 @@ class VertexCache(namedtuple("VertexCache", "directory")):
         ):
             return None
         return rec
+
+    def holds(self, cfg, order):
+        """Whether a file stands under the key of cfg at order (read or not)."""
+        return os.path.exists(self._path(cfg.canonical_key(order)))
 
     def put(self, record):
         cfg = LegConfig(record.lam, record.mu, record.nu)
@@ -418,11 +558,40 @@ def _record(cfg, order, cache):
         rec = cache.get(cfg, order)
         if rec is not None:
             return rec
-    counts = tuple(_slice_counts(_candidate_poset(cfg, order), order))
+    counts = _counts(cfg, order, cache)
     rec = VertexRecord(cfg.lam, cfg.mu, cfg.nu, order, counts, minimal_volume(cfg))
     if cache is not None:
         cache.put(rec)
     return rec
+
+
+def expect(order, legs):
+    """Note that the pass will ask for the records at `order` of the configs legs() lists.
+
+    The first record the pass then counts at that order counts them with it,
+    in one walk; legs is called only then, so a pass that reads every record
+    from its cache never lists the configs.
+    """
+    _EXPECTED.setdefault(order, []).append(legs)
+
+
+def _counts(cfg, order, cache):
+    """The counts of cfg at order, from the walk that counted it.
+
+    On a miss the walk counts cfg and every config noted for the order by
+    expect() that is not counted yet and has no file in `cache`.
+    """
+    if (cfg, order) not in _COUNTED:
+        batch = dict.fromkeys([cfg])
+        for legs in _EXPECTED.pop(order, ()):
+            batch.update(
+                (c, None)
+                for c in legs()
+                if (c, order) not in _COUNTED and (cache is None or not cache.holds(c, order))
+            )
+        batch = list(batch)
+        _COUNTED.update(((c, order), n) for c, n in zip(batch, _count_batch(batch, order)))
+    return _COUNTED[cfg, order]
 
 
 def vertex(cfg, order):

@@ -28,10 +28,14 @@ configuration with |lam| + |mu| + |nu| <= 4, the third leg included, which
 no command above sets; one line the counts of every configuration with legs
 of size <= 3 and total size <= 5 at orders 0, 1, 3 and 7 (512 pairs); and one
 line each the counts of the deep vertices in ``DEEP_VERTICES``.
-The last line digests the JSON of ``series.power(b, k)`` for k = -26..26 on
+One line digests the JSON of ``series.power(b, k)`` for k = -26..26 on
 two windowed bases, ``dtseries._dt_hat_s1(6, (-26, 26))`` and the h-weight
 series ``_q_series(_nodal_weight, 6, t)`` at p-order 12, each k computed both
 on one shared base, in increasing order, and on a fresh copy of the base.
+The last line digests the name and bytes of every file that a cold
+``check all --q-order 6 --p-order 12 --cache-dir`` writes into an empty
+directory, sorted by name, so two checkouts can show identical record files
+and not only identical stdout.
 Running the script in two checkouts and diffing the outputs shows every
 command whose printed bytes changed.
 """
@@ -43,6 +47,7 @@ import itertools
 import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -165,6 +170,17 @@ def power_digest():
     return 0, hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
+def record_files_digest():
+    """(exit code, sha256 of [name, text] of each file a cold q6/p12 `check all` writes)."""
+    vertex.clear_memo()
+    with tempfile.TemporaryDirectory() as directory:
+        argv = ["check", "all", "--q-order", "6", "--p-order", "12", "--cache-dir", directory]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        files = [[path.name, path.read_text()] for path in sorted(Path(directory).iterdir())]
+    return code, hashlib.sha256(json.dumps(files).encode()).hexdigest()
+
+
 def main():
     sys.stderr.write("digesting %s\n" % ellipticdt.__file__)
     for argv in commands():
@@ -191,6 +207,8 @@ def main():
         print(code, sha, "tilde_vertex counts %s %d" % (legs, order), flush=True)
     code, sha = power_digest()
     print(code, sha, "power k=-26..26 shared and fresh: _dt_hat_s1 6, h-weights 6 12", flush=True)
+    code, sha = record_files_digest()
+    print(code, sha, "record files of a cold check all --q-order 6 --p-order 12", flush=True)
 
 
 if __name__ == "__main__":
