@@ -140,10 +140,10 @@ def _raised(unit, e, *args):
 def _q_series(row, q_order, t):
     """The q-series whose q^d coefficient is the q-free series row(d, t), d <= q_order.
 
-    It first notes every config the rows up to q_order ask for, so the first
-    record the pass counts at t.order counts them all in one walk.
+    It first notes the rows up to q_order (_note_rows), so the first record
+    the pass counts at t.order counts every config they ask for in one walk.
     """
-    expect(t.order, partial(_row_legs, q_order))
+    _note_rows(q_order, t)
     rows = [row(d, t) for d in range(q_order + 1)]
     return PQSeries(q_order, [r.coeffs[0] for r in rows], [r.windows[0] for r in rows])
 
@@ -161,6 +161,13 @@ def _row_legs(q_order):
         for lam in enumerate_partitions(d)
         for mu in (EMPTY, BOX, lam.conjugate())
     ]
+
+
+@memoized
+def _note_rows(degree, t):
+    """Note with vertex.expect, once per degree and t, the configs the rows of
+    degree <= `degree` ask for at t.order and t.cache."""
+    expect(t.order, t.cache, partial(_row_legs, degree))
 
 
 @memoized
@@ -237,6 +244,7 @@ def f_d_series(config, surf, order, mode="factored", cache=None):
               fiber contributing exponent -1).
     """
     t = _Tilde(order, cache)
+    _note_rows(max((*config.a, *config.b, 1)), t)  # 1: the prefactor's V~(box)
     if mode == "factored":
         prefactor = _factored_prefactor(surf.eB, surf.eS, t)
         return prefactor * _point_product(config.a, config.b, False, t)
@@ -355,6 +363,7 @@ def dt_hat(surf, q_order, order, side="product", p_window=None, cache=None):
     """
     if side == "sum":
         t = _Tilde(order, cache)
+        _note_rows(q_order, t)
         out = _embed(_factored_prefactor(surf.eB, surf.eS, t), q_order)
         out = out * _raised(_q_series, surf.eB - surf.eS, _smooth_weight, q_order, t)
         out = out * _raised(_q_series, surf.eS, _nodal_weight, q_order, t)
@@ -379,6 +388,7 @@ def dt_fib(surf, q_order, order, side="product", p_window=None, cache=None):
     """
     if side == "sum":
         t = _Tilde(order, cache)
+        _note_rows(q_order, t)
         out = _embed(_factored_prefactor(0, surf.eS, t), q_order)  # F2^eS = V~(empty)^eS
         out = out * _raised(_q_series, surf.eB - surf.eS, _partition_count, q_order, t)
         out = out * _raised(_q_series, surf.eS, _fiber_row, q_order, t)

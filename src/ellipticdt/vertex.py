@@ -26,10 +26,10 @@ configurations counted together, which bounds every coefficient (see _walk).
 
 A pass counts many configurations at one order, and counts them in one walk.
 dtseries notes with expect() the configurations its rows will ask for; the
-first record the pass counts at that order counts all of them not yet
-counted (_counts), and the later records read their counts back.  The walk
-counts one configuration per orbit under the maps built from cyclic and
-conjugate_swap, in that configuration's own orientation, and counts the
+first record the pass must count at that order and cache is counted with
+every noted one the pass neither holds nor reads from the cache (_count).
+The walk counts one configuration per orbit under the maps built from cyclic
+and conjugate_swap, in that configuration's own orientation, and counts the
 tau-slices that several configurations share once (see _walk).
 
 The orbit maps keep the counts.  cyclic is the rotation g(r, s, t) =
@@ -45,10 +45,10 @@ sends pi_min onto pi_min of the image and P onto its P as an order
 isomorphism, which sends the n-box order ideals of one onto those of the
 other: the counts are equal.
 
-Vertex records and the dtseries building blocks are memoized in process, each
-builder in its own functools.lru_cache keyed by its arguments (the cache
-directory included); clear_memo() empties them all, with the walks' counts
-and the configurations noted by expect().
+A pass holds each vertex record it read or counted (_RECORDS, keyed by legs,
+order and cache) and memoizes the dtseries building blocks, each builder in
+its own functools.lru_cache keyed by its arguments (the cache directory
+included); clear_memo() empties them all and the notes of expect().
 
 Box membership convention (shared with partitions.Partition.contains):
 a box (rho, sigma, tau) lies in
@@ -207,18 +207,18 @@ def memoized_latest(build):
     return cached
 
 
-_EXPECTED = {}  # order -> functions listing the configs a pass will ask for there
-_COUNTED = {}  # (cfg, order) -> counts, from the walk that counted them
+_EXPECTED = {}  # (order, cache) -> functions listing the configs a pass will ask for there
+_RECORDS = {}  # (cfg, order, cache) -> every record the pass read or counted
 
 
 def clear_memo():
-    """Drop the in-process memo: vertex records, the counts of the walks, the
-    configs a pass expects, the latest candidate poset and the dtseries
-    building blocks (disk caches are unaffected)."""
+    """Drop the in-process memo: the vertex records a pass read or counted, the
+    configs it expects, the latest candidate poset and the dtseries building
+    blocks (disk caches are unaffected)."""
     for cached in _MEMOS:
         cached.cache_clear()
     _EXPECTED.clear()
-    _COUNTED.clear()
+    _RECORDS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +308,6 @@ def _count_batch(cfgs, order):
     counts = _walk((_candidate_poset(rep, order) for rep in reps.values()), order)
     by_orbit = dict(zip(reps, map(tuple, counts)))
     return [by_orbit[key] for key in orbits]
-
-
-def _slice_counts(cands, order):
-    """Counts of the order ideals of one candidate set by size: a walk of one."""
-    return _walk([cands], order)[0]
 
 
 def _slices(cands, cells_seen):
@@ -521,10 +516,6 @@ class VertexCache(namedtuple("VertexCache", "directory")):
             return None
         return rec
 
-    def holds(self, cfg, order):
-        """Whether a file stands under the key of cfg at order (read or not)."""
-        return os.path.exists(self._path(cfg.canonical_key(order)))
-
     def put(self, record):
         cfg = LegConfig(record.lam, record.mu, record.nu)
         tmp = None
@@ -532,7 +523,7 @@ class VertexCache(namedtuple("VertexCache", "directory")):
             os.makedirs(self.directory, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(record.to_json_dict(), fh, sort_keys=True)
+                fh.write(json.dumps(record.to_json_dict(), sort_keys=True))
             os.replace(tmp, self._path(cfg.canonical_key(record.order)))
         except OSError:
             if tmp is not None:
@@ -543,55 +534,52 @@ class VertexCache(namedtuple("VertexCache", "directory")):
 def tilde_vertex(cfg, order, cache=None):
     """The normalized vertex record: counts[n] ideals with n boxes outside all legs.
 
-    The record is memoized by legs, order and cache, so a pass counts or reads
-    each key once, and writes it to `cache` when it had to count it.
+    The pass holds each record it read or counted, keyed by legs, order and
+    cache, so it reads or counts each key once.  A record the pass does not
+    hold is read from `cache`, or else counted (see _count).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return _record(cfg, order, cache)
+    if not _held(cfg, order, cache):
+        _count(cfg, order, cache)
+    return _RECORDS[cfg, order, cache]
 
 
-@memoized
-def _record(cfg, order, cache):
-    """Read the record from `cache`, or count it and write it there."""
-    if cache is not None:
+def _held(cfg, order, cache):
+    """Whether the pass holds the record of cfg at order, once it has tried to
+    read the record from `cache`."""
+    key = (cfg, order, cache)
+    if key not in _RECORDS and cache is not None:
         rec = cache.get(cfg, order)
         if rec is not None:
-            return rec
-    counts = _counts(cfg, order, cache)
-    rec = VertexRecord(cfg.lam, cfg.mu, cfg.nu, order, counts, minimal_volume(cfg))
-    if cache is not None:
-        cache.put(rec)
-    return rec
+            _RECORDS[key] = rec
+    return key in _RECORDS
 
 
-def expect(order, legs):
-    """Note that the pass will ask for the records at `order` of the configs legs() lists.
+def expect(order, cache, legs):
+    """Note that the pass will ask for the records at `order` and `cache` of the
+    configs legs() lists.
 
-    The first record the pass then counts at that order counts them with it,
-    in one walk; legs is called only then, so a pass that reads every record
-    from its cache never lists the configs.
+    The first record the pass then counts there counts them with it, in one
+    walk; legs is called only then, so a pass that reads every record from
+    its cache never lists the configs.
     """
-    _EXPECTED.setdefault(order, []).append(legs)
+    _EXPECTED.setdefault((order, cache), []).append(legs)
 
 
-def _counts(cfg, order, cache):
-    """The counts of cfg at order, from the walk that counted it.
-
-    On a miss the walk counts cfg and every config noted for the order by
-    expect() that is not counted yet and has no file in `cache`.
-    """
-    if (cfg, order) not in _COUNTED:
-        batch = dict.fromkeys([cfg])
-        for legs in _EXPECTED.pop(order, ()):
-            batch.update(
-                (c, None)
-                for c in legs()
-                if (c, order) not in _COUNTED and (cache is None or not cache.holds(c, order))
-            )
-        batch = list(batch)
-        _COUNTED.update(((c, order), n) for c, n in zip(batch, _count_batch(batch, order)))
-    return _COUNTED[cfg, order]
+def _count(cfg, order, cache):
+    """Count cfg at order in one walk with every config noted for the order and
+    cache by expect() that the pass does not hold and `cache` does not serve;
+    hold each record read or counted, and write each counted one to `cache`."""
+    batch = dict.fromkeys([cfg])
+    for legs in _EXPECTED.pop((order, cache), ()):
+        fresh = (c for c in dict.fromkeys(legs()) if c not in batch and not _held(c, order, cache))
+        batch.update(dict.fromkeys(fresh))
+    for c, counts in zip(batch, _count_batch(batch, order)):
+        rec = VertexRecord(c.lam, c.mu, c.nu, order, counts, minimal_volume(c))
+        if cache is not None:
+            cache.put(rec)
+        _RECORDS[c, order, cache] = rec
 
 
 def vertex(cfg, order):

@@ -511,23 +511,26 @@ def test_clear_memo_empties_every_memo(capsys):
     assert all(fn in vertex._MEMOS for fn in memos)
     code, _, _ = run(capsys, "check", "all", "--q-order", "2", "--p-order", "5")
     assert code == 0
-    assert vertex._record.cache_info().currsize > 0
+    assert vertex._RECORDS
     vertex.clear_memo()
     assert [fn.cache_info().currsize for fn in memos] == [0] * len(memos)
+    assert vertex._RECORDS == {}
 
 
 def test_record_memo_counts_its_hits(tmp_path, capsys, monkeypatch):
-    """The record memo's own counts: a miss per record written, a hit per other call."""
+    """A cold pass reads and writes each record once and serves every other call
+    from the records it holds."""
     counts = {}
     _count_calls(monkeypatch, dtseries, "tilde_vertex", counts, "tilde_vertex")
+    _count_calls(monkeypatch, vertex.VertexCache, "get", counts, "get")
+    _count_calls(monkeypatch, vertex.VertexCache, "put", counts, "put")
     vertex.clear_memo()
     argv = ("check", "all", "--q-order", "3", "--p-order", "6", "--cache-dir", str(tmp_path))
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    info = vertex._record.cache_info()
-    assert info.misses == len(list(tmp_path.glob("*.json")))
-    assert info.hits + info.misses == counts["tilde_vertex"]
-    assert info.hits > 0
+    files = len(list(tmp_path.glob("*.json")))
+    assert counts["get"] == counts["put"] == files
+    assert counts["tilde_vertex"] > files
 
 
 def _frozen_commands():

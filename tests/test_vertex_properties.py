@@ -17,7 +17,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ellipticdt.partitions import enumerate_partitions  # noqa: E402
-from ellipticdt.vertex import LegConfig, _candidate_poset, _slice_counts  # noqa: E402
+from ellipticdt.vertex import LegConfig, _candidate_poset, _walk  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -74,4 +74,4 @@ def macmahon_box(a, b, c):
 @pytest.mark.parametrize("a,b,c", [(1, 1, 1), (2, 2, 2), (1, 3, 5), (3, 3, 4), (4, 4, 5)])
 def test_slice_counts_of_a_full_box_match_macmahon(a, b, c):
     cube = list(itertools.product(range(a), range(b), range(c)))
-    assert _slice_counts(cube, a * b * c) == macmahon_box(a, b, c)
+    assert _walk([cube], a * b * c)[0] == macmahon_box(a, b, c)

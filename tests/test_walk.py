@@ -2,7 +2,7 @@
 walk per pass and order, and the record bookkeeping around it.
 
 Every batch count is checked against the same counter run on one candidate
-set at a time (_slice_counts), and the records a pass writes against what
+set at a time (a walk of one set), and the records a pass writes against what
 the pass asks for.
 """
 
@@ -19,7 +19,7 @@ from ellipticdt.vertex import LegConfig, VertexCache, minimal_volume
 
 
 def one_by_one(cfg, order):
-    return tuple(vertex._slice_counts(vertex._candidate_poset(cfg, order), order))
+    return tuple(vertex._walk([vertex._candidate_poset(cfg, order)], order)[0])
 
 
 def pass_configs(q_order):
@@ -41,11 +41,29 @@ def small_configs():
     return [cfg for cfg in cfgs if cfg.total_size() <= 5]
 
 
-def check_all(*args):
+def run(*args):
     vertex.clear_memo()
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        code = cli.main(["check", "all", *args])
+        code = cli.main(list(args))
     assert code == 0, out.getvalue()
+
+
+def check_all(*args):
+    run("check", "all", *args)
+
+
+def walk_sizes(monkeypatch):
+    """The number of candidate sets of each walk made from now on, in order."""
+    sizes = []
+    real = vertex._walk
+
+    def noted(cand_sets, order):
+        cand_sets = list(cand_sets)
+        sizes.append(len(cand_sets))
+        return real(cand_sets, order)
+
+    monkeypatch.setattr(vertex, "_walk", noted)
+    return sizes
 
 
 def test_batch_counts_equal_one_by_one_on_every_q8p16_config():
@@ -80,7 +98,7 @@ def test_walk_of_equal_empty_and_prefix_sets():
     cube = list(itertools.product(range(2), range(2), range(3)))
     lower = [box for box in cube if box[2] < 2]
     order = 12
-    alone = [vertex._slice_counts(c, order) for c in (cube, lower, [])]
+    alone = [vertex._walk([c], order)[0] for c in (cube, lower, [])]
     got = vertex._walk([cube, lower, cube, [], lower, cube], order)
     assert got == [alone[0], alone[1], alone[0], alone[2], alone[1], alone[0]]
     assert alone[2] == [1] + [0] * order
@@ -170,10 +188,54 @@ def test_walk_skips_configs_whose_records_are_on_disk(tmp_path, monkeypatch):
 
 def test_clear_memo_forgets_counts_and_notes():
     check_all("--q-order", "2", "--p-order", "4")
-    assert vertex._COUNTED
-    vertex.expect(4, list)
+    assert vertex._RECORDS
+    vertex.expect(4, None, list)
     vertex.clear_memo()
-    assert vertex._COUNTED == {} and vertex._EXPECTED == {}
+    assert vertex._RECORDS == {} and vertex._EXPECTED == {}
+
+
+@pytest.mark.parametrize(
+    "argv,walks",
+    [
+        (("check", "all", "--q-order", "2", "--p-order", "5"), [8, 8, 13]),
+        (("fd", "--smooth", "2,1", "--nodal", "3", "--p-order", "6"), [16]),
+        (("dt", "--side", "sum", "--q-order", "2", "--p-order", "6"), [8]),
+        (("dtfib", "--side", "sum", "--q-order", "2", "--p-order", "6"), [8]),
+    ],
+)
+def test_rows_below_q_order_4_are_counted_with_their_notes(monkeypatch, argv, walks):
+    """The f_d points and the sum sides note their rows, so no config is walked alone."""
+    monkeypatch.delenv("ELLIPTICDT_CACHE", raising=False)
+    sizes = walk_sizes(monkeypatch)
+    run(*argv)
+    assert sizes == walks
+
+
+def test_damaged_record_is_counted_in_the_pass_walk(tmp_path, monkeypatch):
+    """A noted key whose file does not read as its record joins the one walk."""
+    argv = ("dt", "--side", "sum", "--p-order", "6", "--cache-dir", str(tmp_path))
+    run(*argv, "--q-order", "2")
+    cfg = LegConfig(Partition((2,)), Partition((1, 1)), EMPTY)
+    path = tmp_path / "2_1,1__6.json"
+    assert str(path) == VertexCache(str(tmp_path))._path(cfg.canonical_key(6))
+    path.write_text("garbage")
+    sizes = walk_sizes(monkeypatch)
+    run(*argv, "--q-order", "4")
+    assert sizes == [22]
+    assert VertexCache(str(tmp_path)).get(cfg, 6) == vertex.tilde_vertex(cfg, 6)
+
+
+def test_repeated_f_d_series_notes_each_degree_once(monkeypatch):
+    notes = []
+    monkeypatch.setattr(
+        dtseries, "expect", lambda order, cache, legs: notes.append((order, cache, legs.args))
+    )
+    vertex.clear_memo()
+    surf = dtseries.SurfaceData(2, 12)
+    configs = [dtseries.PointConfig(a, b) for a, b in (((2, 1), (3,)), ((), ()), ((1,), (1,)))]
+    for i in range(50):
+        dtseries.f_d_series(configs[i % 3], surf, 5, ("factored", "strata")[i % 2])
+    assert notes == [(5, None, (3,)), (5, None, (1,))]
 
 
 def brute_minimal_volume(cfg):

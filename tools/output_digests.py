@@ -32,10 +32,10 @@ One line digests the JSON of ``series.power(b, k)`` for k = -26..26 on
 two windowed bases, ``dtseries._dt_hat_s1(6, (-26, 26))`` and the h-weight
 series ``_q_series(_nodal_weight, 6, t)`` at p-order 12, each k computed both
 on one shared base, in increasing order, and on a fresh copy of the base.
-The last line digests the name and bytes of every file that a cold
-``check all --q-order 6 --p-order 12 --cache-dir`` writes into an empty
-directory, sorted by name, so two checkouts can show identical record files
-and not only identical stdout.
+The last two lines digest the name and bytes of every file that a cold
+``check all --cache-dir`` writes into an empty directory, sorted by name, at
+q6/p12 and at q2/p5 (where the f_d rows reach above the q-order), so two
+checkouts can show identical record files and not only identical stdout.
 Running the script in two checkouts and diffing the outputs shows every
 command whose printed bytes changed.
 """
@@ -170,11 +170,12 @@ def power_digest():
     return 0, hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
-def record_files_digest():
-    """(exit code, sha256 of [name, text] of each file a cold q6/p12 `check all` writes)."""
+def record_files_digest(q_order, p_order):
+    """(exit code, sha256 of [name, text] of each file a cold `check all` writes)."""
     vertex.clear_memo()
     with tempfile.TemporaryDirectory() as directory:
-        argv = ["check", "all", "--q-order", "6", "--p-order", "12", "--cache-dir", directory]
+        argv = ["check", "all", "--q-order", str(q_order), "--p-order", str(p_order),
+                "--cache-dir", directory]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
         files = [[path.name, path.read_text()] for path in sorted(Path(directory).iterdir())]
@@ -207,8 +208,10 @@ def main():
         print(code, sha, "tilde_vertex counts %s %d" % (legs, order), flush=True)
     code, sha = power_digest()
     print(code, sha, "power k=-26..26 shared and fresh: _dt_hat_s1 6, h-weights 6 12", flush=True)
-    code, sha = record_files_digest()
-    print(code, sha, "record files of a cold check all --q-order 6 --p-order 12", flush=True)
+    for q_order, p_order in ((6, 12), (2, 5)):
+        code, sha = record_files_digest(q_order, p_order)
+        print(code, sha, "record files of a cold check all --q-order %d --p-order %d"
+              % (q_order, p_order), flush=True)
 
 
 if __name__ == "__main__":
