@@ -338,6 +338,9 @@ def suite(q_order, p_order, p_window, cache, seed, random_tables):
     detail is empty for a passing check; for a failing one it names the
     first discrepancy or the error that stopped the comparison.
     """
+    # fd-cross reads the rows up to degree 4, the other checks those up to
+    # q_order: one note, so the pass counts every config it needs in one walk
+    dtseries.note_rows(max(q_order, 4), p_order, cache)
     for name, fn in (
         ("identity-a", dtseries.identity_a),
         ("identity-b", dtseries.identity_b),

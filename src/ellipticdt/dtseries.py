@@ -170,6 +170,12 @@ def _note_rows(degree, t):
     expect(t.order, t.cache, partial(_row_legs, degree))
 
 
+def note_rows(degree, order, cache=None):
+    """Note the configs the rows of degree <= `degree` ask for at `order` and
+    `cache` (see _note_rows), before the first record is read or counted."""
+    _note_rows(degree, _Tilde(order, cache))
+
+
 @memoized
 def _smooth_row(d, t):
     """Sum over lam |- d of V~(lam,box,empty)/V~(lam,empty,empty) * p^(-lam_1)."""

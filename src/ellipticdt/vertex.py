@@ -10,27 +10,31 @@ checks test).
 
 The count is a transfer matrix over tau-slices: an ideal is cut into the
 sequence of its 2D slices at heights tau = 0, 1, ..., as 3D partitions are
-sliced in Okounkov-Reshetikhin-Vafa (hep-th/0306032).  Each state is one 2D
-ideal J together with the size polynomial of the ideals cut off at height tau
-whose top slice is J.  A box of the next slice over a candidate (a lifted
-box) may enter only over a box of J, so one step first sums, for each 2D
-ideal I of the boxes below, the states that contain I (a superset sum, or zeta
-transform, over the lattice of 2D ideals; Bjorklund et al., "Fast zeta
-transforms for lattices with few irreducibles", SODA 2012).  It then searches
-the 2D ideals of the new slice once, each taking the sum at the boxes under
-its lifted boxes.  Only this counting is taken from the slicing picture; no
-Schur-function formula is used.  A size polynomial is packed into one int
-with a fixed number of bits per coefficient; that width is one bit more than
-C(N + order, order) needs, N the largest number of candidate boxes of the
-configurations counted together, which bounds every coefficient (see _walk).
+sliced in Okounkov-Reshetikhin-Vafa (hep-th/0306032).  The candidates, the
+boxes of P whose down-set has at most `order` boxes, are built slice by slice
+too: a down-set size is the size one slice below plus a 2D count in its own
+slice (_candidate_slices).  Each state is one 2D ideal J together with the
+size polynomial of the ideals cut off at height tau whose top slice is J.  A
+box of the next slice over a candidate (a lifted box) may enter only over a
+box of J, so one step first sums, for each 2D ideal I of the boxes below, the
+states that contain I (a superset sum, or zeta transform, over the lattice of
+2D ideals; Bjorklund et al., "Fast zeta transforms for lattices with few
+irreducibles", SODA 2012).  It then searches the 2D ideals of the new slice
+once, each taking the sum at the boxes under its lifted boxes.  Only this
+counting is taken from the slicing picture; no Schur-function formula is
+used.  A size polynomial is packed into one int with a fixed number of bits
+per coefficient; that width is one bit more than the largest bound on a count
+of the configurations counted together, the lesser of C(N + order, order) and
+prod_{k<order} (m_0 + 2k) for N candidates, m_0 of them minimal (see _walk).
 
 A pass counts many configurations at one order, and counts them in one walk.
 dtseries notes with expect() the configurations its rows will ask for; the
 first record the pass must count at that order and cache is counted with
 every noted one the pass neither holds nor reads from the cache (_count).
 The walk counts one configuration per orbit under the maps built from cyclic
-and conjugate_swap, in that configuration's own orientation, and counts the
-tau-slices that several configurations share once (see _walk).
+and conjugate_swap, in that configuration's own orientation, counts the
+tau-slices that several configurations share once, and sets up each pair of
+adjacent slices it meets once (see _walk).
 
 The orbit maps keep the counts.  cyclic is the rotation g(r, s, t) =
 (t, r, s) and conjugate_swap the transposition h(r, s, t) = (s, r, t).  Each
@@ -65,9 +69,11 @@ import json
 import operator
 import os
 import tempfile
+from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
-from math import comb
+from itertools import compress, count
+from math import comb, inf
 
 from .partitions import Partition
 from .series import HalfLaurent, PQSeries
@@ -226,52 +232,95 @@ def clear_memo():
 
 
 @memoized_latest
-def _candidate_poset(cfg, order):
-    """Boxes of P whose down-set within P has at most `order` elements, sorted.
+def _candidate_slices(cfg, order):
+    """The candidates, the boxes of P whose down-set within P has at most
+    `order` elements, as tau-slices: slice tau is the sorted tuple of the
+    cells (rho, sigma) of the candidates (rho, sigma, tau), and the last
+    slice is not empty.
 
-    Any order ideal of size <= order lies inside this set, and the set is itself
-    an order ideal of P.  Down-set sizes are computed by inclusion-exclusion
-    dynamic programming over a bounding box in which every coordinate chain
-    below a candidate meets at most the listed number of leg boxes.
+    Any order ideal of size <= order lies inside the candidates, and they are
+    themselves an order ideal of P.  Slice tau of P is {(rho, sigma): sigma >=
+    lam_tau, rho >= mu'_tau, rho >= nu_sigma}: its row rho >= mu'_tau holds
+    the cells sigma >= b = max(lam_tau, nu'_rho).  So the down-set sizes
+    follow one slice at a time,
 
-    A tau-row (rho, sigma, *) meets P in a tail: it lies in leg 3 when
-    rho < nu[sigma], and otherwise leaves leg 2 at tau = mu[rho] and leg 1 at
-    the column height of lam at sigma.  Down-set sizes grow along each axis, so
-    a row ends at its first size above `order`, and no later row goes past the
-    rows below and behind it.
+        down(rho, sigma, tau) = down(rho, sigma, tau - 1) + d(rho, sigma),
+
+    d the number of cells of slice tau of P at or below (rho, sigma), which
+    acc sums over the rows up to rho (row rho' adds sigma + 1 - b there).
+    Every box below a box of a leg lies in that leg, so a leg box has
+    down-set size 0, and down(rho, sigma, tau - 1) is 0 where (rho, sigma,
+    tau - 1) lies in a leg, the size kept for it where it is a candidate, and
+    above `order` otherwise.  Down-set sizes grow along each axis, so a row
+    ends at its first size above `order`, before sigma = b + order (its own
+    cells count that many), and goes past neither the row before it nor the
+    same row in the slice below.  From row nu_1 on b is lam_tau, so the rows
+    stop at the first of them without a candidate.
+
+    Where lam_tau and mu'_tau stay the same, so do slice tau of P and d: from
+    each tau where one of them changes up to the next (`last`), and from
+    max(len(lam), mu_1) on for good.  Only the first slice of such a run is
+    built row by row.  Over the run a cell's size grows by d a slice, so the
+    cell stays a candidate (order - size) // d slices more, and the sizes at
+    the run's last slice are the ones the next run reads below it.
     """
-    lam, mu, nu = cfg.lam, cfg.mu, cfg.nu
-    # A rho-chain below a box of P meets at most len(mu) leg-2 boxes (tau < mu[rho'])
-    # and at most nu_1 leg-3 boxes (rho' < nu[sigma]); similarly for the other axes.
-    nr = order + mu.length() + nu.first_part()
-    ns = order + lam.first_part() + nu.length()
-    nt = order + lam.length() + mu.first_part()
-    mu_rows = list(mu.parts) + [0] * (nr - mu.length())
-    lam_cols = list(lam.conjugate().parts) + [0] * (ns - lam.first_part())
-    nu_rows = list(nu.parts) + [0] * (ns - nu.length())
-    # down[r + 1][s + 1][t + 1] is the down-set size of (r, s, t); index 0 is a zero border
-    down = [[[0] * (nt + 1) for _ in range(ns + 1)] for _ in range(nr + 1)]
-    ends = [nt] * ns  # ends[sigma]: the row (rho - 1, sigma) stopped there
-    cands = []
-    for rho in range(nr):
-        lower, plane = down[rho], down[rho + 1]  # planes rho - 1 and rho
-        end = nt
-        for sigma in range(ns):
-            end = min(end, ends[sigma])
-            start = max(mu_rows[rho], lam_cols[sigma]) if rho >= nu_rows[sigma] else end
-            l0, l1, p0, p1 = lower[sigma], lower[sigma + 1], plane[sigma], plane[sigma + 1]
-            for tau in range(end):
-                in_p = tau >= start
-                v = (in_p + l1[tau + 1] + p0[tau + 1] + p1[tau]
-                     - l0[tau + 1] - l1[tau] - p0[tau] + l0[tau])
-                if v > order:
-                    end = tau
+    lam, mu_c, nu_c = (leg.parts for leg in (cfg.lam, cfg.mu.conjugate(), cfg.nu.conjugate()))
+    nu_1 = len(nu_c)
+
+    def legs_at(tau):
+        return (lam[tau] if tau < len(lam) else 0, mu_c[tau] if tau < len(mu_c) else 0)
+
+    reach = max(len(lam), len(mu_c))
+    starts = [tau for tau in range(reach + 1) if not tau or legs_at(tau) != legs_at(tau - 1)]
+    slices = []
+    below, beyond = [], None  # (b, sizes) of each row of the slice below, and of the rows past them
+    for tau, last in zip(starts, starts[1:] + [None]):
+        lam_t, mu_t = legs_at(tau)
+        rows = [None] * mu_t  # below mu'_tau in leg 2; then (b, first, end) of each row's sizes
+        cells, sizes, ds = [], [], []
+        acc, end = None, inf
+        for rho in count(mu_t):
+            b = max(lam_t, nu_c[rho] if rho < nu_1 else 0)
+            stop = min(end, b + order)
+            row_below = below[rho] if rho < len(below) else beyond
+            if row_below is None:  # (rho, sigma, tau - 1) lies in a leg
+                start_below, sizes_below = stop, ()
+            else:
+                start_below, sizes_below = row_below
+                stop = min(stop, start_below + len(sizes_below))
+            if acc is None:
+                acc = [0] * stop
+            first = len(sizes)
+            for sigma in range(b, stop):
+                d = acc[sigma] + sigma + 1 - b
+                acc[sigma] = d
+                size = d + sizes_below[sigma - start_below] if sigma >= start_below else d
+                if size > order:
                     break
-                p1[tau + 1] = v
-                if in_p:
-                    cands.append((rho, sigma, tau))
-            ends[sigma] = end
-    return cands
+                sizes.append(size)
+                ds.append(d)
+                cells.append((rho, sigma))
+            rows.append((b, first, len(sizes)))
+            end = b + len(sizes) - first
+            if end == b and rho >= nu_1:
+                break
+        extra = [(order - size) // d for size, d in zip(sizes, ds)]
+        cells = tuple(cells)
+        slices.append(cells)
+        for more in count(1) if last is None else range(1, last - tau):
+            keep = [e >= more for e in extra]
+            cells = tuple(compress(cells, keep))
+            if not cells and last is None:
+                break
+            slices.append(cells)
+            extra = list(compress(extra, keep))
+        if last is not None:
+            grown = [size + (last - 1 - tau) * d for size, d in zip(sizes, ds)]
+            below = [row and (row[0], grown[row[1]:bisect_right(grown, order, *row[1:])]) for row in rows]
+            beyond = (lam_t, [])
+    while slices and not slices[-1]:
+        slices.pop()
+    return tuple(slices)
 
 
 def _orbit_key(cfg):
@@ -305,27 +354,15 @@ def _count_batch(cfgs, order):
     for key, cfg in zip(orbits, cfgs):
         if key not in reps or _reach(cfg) > _reach(reps[key]):
             reps[key] = cfg
-    counts = _walk((_candidate_poset(rep, order) for rep in reps.values()), order)
+    counts = _walk((_candidate_slices(rep, order) for rep in reps.values()), order)
     by_orbit = dict(zip(reps, map(tuple, counts)))
     return [by_orbit[key] for key in orbits]
 
 
-def _slices(cands, cells_seen):
-    """The sorted cells of each tau-slice of a sorted candidate set.
-
-    Each cell is the one tuple cells_seen holds for it, so the slices of many
-    sets take little more memory than their references.
-    """
-    slices = {}
-    for rho, sigma, tau in cands:  # sorted, so each slice comes out sorted
-        cell = (rho, sigma)
-        slices.setdefault(tau, []).append(cells_seen.setdefault(cell, cell))
-    return [tuple(slices.get(tau, ())) for tau in range(max(slices, default=-1) + 1)]
-
-
-def _walk(cand_sets, order):
-    """Counts of order ideals by size, for each candidate set, in one walk over
-    their tau-slices that counts the slices shared by a run of sets once.
+def _walk(slice_sets, order):
+    """Counts of order ideals by size, for each set of candidates given by its
+    tau-slices, in one walk that counts the slices shared by a run of sets
+    once and sets up each link of two slices once.
 
     Slices.  P is upward closed in Z^3_{>=0}, so its order is generated by
     the three unit covering relations inside P, and an ideal is exactly a
@@ -333,63 +370,125 @@ def _walk(cand_sets, order):
     (r, s, tau) may enter J_tau only when its tau-predecessor (r, s, tau - 1)
     is not in P or lies in J_{tau-1}.  A box of P below a candidate is a
     candidate, so "not in P" reads "not a candidate" here.  A transfer-matrix
-    state is one J_tau, a bitmask over the slice's sorted boxes, mapped to the
+    state is one J_tau, a bitmask over the slice's sorted cells, mapped to the
     size polynomial (truncated at `order`) of all ideals ending in it; a state
     with a zero polynomial is never formed.  _step makes one step; the states
     start as {0: 1} below slice 0, and the answer is the sum of the states of
     the last slice.
 
+    Links.  A step reads its slice only through the setup _link builds from
+    that slice and the slice below it (the empty slice under slice 0).  The
+    walk numbers each distinct slice once, so a set is a list of numbers, and
+    builds the setup of each pair of numbers once, at the first step that
+    takes it, and drops it after the last: the 979 steps of a cold q6/p12
+    pass use 199 links, and a cold q12/p24 pass holds at most 7,513 of the
+    38,704 cells of its links at once.
+
     Width.  A size polynomial is packed into one int, coefficient n in bits
     [n*width, (n+1)*width).  Coefficient n of any state, of any sum of states
-    and of the final counts of a set counts distinct n-box subsets of its
-    candidates, so it is at most C(N, n) <= C(N + n, n) <= C(N + order, order)
-    with N the number of candidates.  The walk takes N as the largest of all
-    its sets, which only raises the bound, and width has one bit to spare
-    above it, so no sum of any set carries into the next coefficient.
-    Merging two states is then one addition, and extending a state by a k-box
-    slice ideal is a shift by k*width with the coefficients above `order`
-    masked off.
+    and of the final counts of a set counts distinct n-box ideals of its
+    candidates, so it is at most c_n, the set's count of n-box ideals, and
+    _bound bounds c_n for every n <= order:
 
-    Shared prefixes.  Step tau reads only the cells of slice tau, those of
-    slice tau - 1 (through their bits) and the states step tau - 1 returned,
-    which it leaves unchanged; the width is the walk's.  By induction the
-    states after step tau depend only on the cells of slices 0..tau, so two
-    sets whose slices agree up to tau have equal states there.  The walk
-    sorts the sets by their sequences of slice cells, so the sets sharing a
-    prefix are adjacent, and resumes each set from the path: the states after
-    each step it shares with the set before it.  That holds for the next set
-    as well, because a set stores its states after step tau only when the
-    next set shares step tau, and ends by cutting the path to the steps the
-    next set shares.  A set that shares all its slices with the one before
-    reads its counts off the path.  A step returns its states whole, and the
-    next step sums them by the key it needs, so what step tau returns does
-    not depend on slice tau + 1.  Keyed also by the cells under the next
-    slice, the 75 sets of a q6/p12 pass would share less: 7003 cells counted
-    against 5759.
+    * c_n <= C(N, n) <= C(N + n, n) <= C(N + order, order), N the number of
+      candidates.
+    * c_n <= prod_{k<n} (m_0 + 2k), m_0 the number of minimal candidates
+      (_minimal counts them slice by slice).
+      Call a box addable to an ideal I when it is a candidate outside I whose
+      lower covers within the candidates all lie in I.  The addable boxes of
+      the empty ideal are the m_0 minimal ones.  Adding a box x to I removes
+      x from the addable boxes and adds at most its three upper covers, so
+      an n-box ideal has at most m_0 + 2n addable boxes.  Every (n+1)-box
+      ideal is an n-box ideal plus one addable box, so c_{n+1} <=
+      (m_0 + 2n) c_n.  When m_0 >= 1 the product grows with n; when m_0 = 0
+      there are no candidates and only c_0 = 1 is not 0.
+
+    The walk takes the largest bound of all its sets, which only raises it,
+    and width has one bit to spare above it, so no sum of any set carries
+    into the next coefficient.  Merging two states is then one addition, and
+    extending a state by a k-box slice ideal is a shift by k*width with the
+    coefficients above `order` masked off.
+
+    Shared prefixes.  Step tau reads only the link of slices tau - 1 and tau
+    and the states step tau - 1 returned, which it leaves unchanged; the
+    width is the walk's.  By induction the states after step tau depend only
+    on slices 0..tau, so two sets whose slices agree up to tau have equal
+    states there.  The walk sorts the sets by their sequences of slice
+    numbers, so the sets sharing a prefix are adjacent, and resumes each set
+    from the path: the states after each step it shares with the set before
+    it.  That holds for the next set as well, because a set stores its states
+    after step tau only when the next set shares step tau, and ends by cutting
+    the path to the steps the next set shares.  A set that shares all its
+    slices with the one before reads its counts off the path.  A step returns
+    its states whole, and the next step sums them by the key it needs, so
+    what step tau returns does not depend on slice tau + 1.  Keyed also by
+    the cells under the next slice, the 75 sets of a q6/p12 pass would share
+    less: 7003 cells counted against 5759.
     """
-    runs, width, cells_seen = [], 0, {}
-    for i, cands in enumerate(cand_sets):
-        runs.append((_slices(cands, cells_seen), i))
-        width = max(width, comb(len(cands) + order, order).bit_length() + 1)
+    numbers, minimal, runs, width = {(): 0}, {}, [], 0
+    for i, slices in enumerate(slice_sets):
+        run, below, m_0 = [], (), 0
+        for cells in slices:
+            pair = (run[-1] if run else 0, numbers.setdefault(cells, len(numbers)))
+            if pair not in minimal:
+                minimal[pair] = _minimal(below, cells)
+            m_0 += minimal[pair]
+            run.append(pair[1])
+            below = cells
+        runs.append((run, i))
+        width = max(width, _bound(sum(map(len, slices)), m_0, order).bit_length() + 1)
     runs.sort()
+    by_number = list(numbers)
+    uses, previous = {}, []  # the steps each link makes, so it is held until its last
+    for run, _ in runs:
+        for pair in _pairs(run, _shared(previous, run)):
+            uses[pair] = uses.get(pair, 0) + 1
+        previous = run
     full = (1 << (order + 1) * width) - 1
     out = [None] * len(runs)
-    path = []  # path[tau]: (states, cells' bits) after slice tau, while later sets share it
-    for j, (slices, i) in enumerate(runs):
-        keep = _shared(slices, runs[j + 1][0]) if j + 1 < len(runs) else 0
-        states, below = path[-1] if path else ({0: 1}, {})
-        for tau in range(len(path), len(slices)):
-            states, below = _step(slices[tau], below, states, width, full, order)
+    links = {}
+    path = []  # path[tau]: the states after slice tau, while later sets share it
+    for j, (run, i) in enumerate(runs):
+        keep = _shared(run, runs[j + 1][0]) if j + 1 < len(runs) else 0
+        states = path[-1] if path else {0: 1}
+        for tau, pair in enumerate(_pairs(run, len(path)), len(path)):
+            if pair not in links:
+                links[pair] = _link(by_number[pair[0]], by_number[pair[1]])
+            states = _step(links[pair], states, width, full)
+            uses[pair] -= 1
+            if not uses[pair]:
+                del links[pair]
             if tau < keep:
-                path.append((states, below))
+                path.append(states)
         del path[keep:]
         total = sum(states.values())
         out[i] = [total >> n * width & (1 << width) - 1 for n in range(order + 1)]
     return out
 
 
+def _pairs(run, start):
+    """The (slice below, slice) numbers of the steps of a run from step `start` on."""
+    return zip(([0] + run)[start:], run[start:])
+
+
+def _minimal(below, cells):
+    """The number of minimal candidates in a slice: its cells with no lower
+    neighbour in the slice or, below it, in `below`."""
+    have = set(cells)
+    return sum((r - 1, s) not in have and (r, s - 1) not in have for r, s in have.difference(below))
+
+
+def _bound(size, minimal, order):
+    """A bound on coefficients 0..order of the counts of a candidate set with
+    `size` boxes, `minimal` of them minimal (see _walk)."""
+    product = 1
+    for k in range(order):
+        product *= minimal + 2 * k
+    return min(comb(size + order, order), max(product, 1))
+
+
 def _shared(slices, other):
-    """The number of leading slices two sequences of slices share."""
+    """The number of leading slices two runs of slice numbers share."""
     n = 0
     for a, b in zip(slices, other):
         if a != b:
@@ -398,10 +497,40 @@ def _shared(slices, other):
     return n
 
 
-def _step(cells, below, old, width, full, order):
-    """One transfer-matrix step: the states of the slice with these sorted
-    cells, from the states `old` of the slice below, whose cells have the
-    bits `below`, left unchanged; returns them with the bits of its cells.
+def _link(below, cells):
+    """The setup of a step from the slice with the sorted cells `below` to the
+    slice with the sorted cells `cells`, as _step reads it:
+
+    * boxes: for the bit of each cell, its projection (the bit of the same
+      cell below, or 0) and, for each successor, the mask of the
+      successor's predecessors and the successor's bit;
+    * lifted: the mask pi(lifted), the projections together;
+    * passes: the projections in reverse sorted order, one zeta pass each;
+    * ready: the cells without predecessors in the slice, as a mask.
+    """
+    bits = {cell: 1 << j for j, cell in enumerate(cells)}
+    lows = {cell: 1 << j for j, cell in enumerate(below)}
+    boxes, passes, ready = {}, [], 0
+    for cell, bit in bits.items():  # sorted, so a cell's predecessors come first
+        rho, sigma = cell
+        up, left = bits.get((rho - 1, sigma), 0), bits.get((rho, sigma - 1), 0)
+        x = lows.get(cell, 0)
+        boxes[bit] = (x, [])
+        if up:
+            boxes[up][1].append((up | left, bit))
+        if left:
+            boxes[left][1].append((up | left, bit))
+        if x:
+            passes.append(x)
+        if not up | left:
+            ready |= bit
+    passes.reverse()  # the cells below are sorted too, so the projections grow
+    return boxes, sum(passes), passes, ready
+
+
+def _step(link, old, width, full):
+    """One transfer-matrix step over a link (see _link): the states of the
+    slice from the states `old` of the slice below, left unchanged.
 
     The step is a superset sum (a zeta transform over the lattice of 2D
     ideals).  Call a box (r, s, tau) lifted when (r, s, tau - 1) is a
@@ -430,53 +559,50 @@ def _step(cells, below, old, width, full, order):
       inside S (the predecessors of x sort before it), hence a key.
     * Z only falls as I grows (it sums fewer nonnegative states), and
       pi(J & lifted) grows with J.  So once Z[pi(J & lifted)] is 0 (no key),
-      or its lowest size plus |J| is above `order`, no J' >= J survives, and
-      the one search of the slice's 2D ideals can skip J's box there for
-      good; it yields each surviving J once.
+      or x^|J| Z[pi(J & lifted)] truncated at `order` is 0, no J' >= J
+      survives, and the one search of the slice's 2D ideals can skip J's box
+      there for good; it yields each surviving J once.  Likewise a J whose
+      value has no coefficient below `order` is not grown further.
     * Coefficient n of Z[I] counts distinct n-box ideals (each ideal ends
       in one state), so the width bound of _walk still holds.
     """
-    bit = {cell: j for j, cell in enumerate(cells)}
-    preds, succs, proj = [], [], []
-    for rho, sigma in cells:
-        preds.append(sum(1 << bit[c] for c in ((rho - 1, sigma), (rho, sigma - 1)) if c in bit))
-        succs.append([bit[c] for c in ((rho + 1, sigma), (rho, sigma + 1)) if c in bit])
-        proj.append(1 << below[(rho, sigma)] if (rho, sigma) in below else 0)
-    lifted = sum(proj)  # pi(lifted): one distinct bit per lifted box
+    boxes, lifted, passes, ready = link
     zeta = {}
     for state, value in old.items():
-        zeta[state & lifted] = zeta.get(state & lifted, 0) + value
-    for x in sorted(filter(None, proj), reverse=True):  # Z in place, one pass per box
+        state &= lifted
+        zeta[state] = zeta.get(state, 0) + value
+    for x in passes:  # Z in place, one pass per box
         for key in zeta:
             if not key & x and key | x in zeta:
                 zeta[key] += zeta[key | x]
-    lows = {key: ((z & -z).bit_length() - 1) // width for key, z in zeta.items()}
+    growing = full >> width  # the coefficients below `order`
     # Each 2D ideal J is generated once by branching on the lowest ready
     # box: it is either added, or skipped for good, which removes its whole
     # up-set because those boxes never become ready.  A stack entry is
-    # (J, ready boxes, |J|, pi(J & lifted)).
+    # (J, ready boxes, the shift of |J| + 1 boxes, pi(J & lifted)).
     states = {0: zeta[0]}
-    ready = sum(1 << j for j, mask in enumerate(preds) if not mask)
-    stack = [(0, ready, 0, 0)]
+    stack = [(0, ready, width, 0)]
     while stack:
-        ideal, ready, k, key = stack.pop()
-        k += 1
+        ideal, ready, shift, key = stack.pop()
         while ready:
             low = ready & -ready
             ready ^= low
-            j = low.bit_length() - 1
-            grown_key = key | proj[j]
-            if grown_key not in zeta or lows[grown_key] + k > order:
+            x, succs = boxes[low]
+            grown_key = key | x
+            if grown_key not in zeta:
+                continue
+            value = (zeta[grown_key] << shift) & full
+            if not value:
                 continue
             grown = ideal | low
-            states[grown] = (zeta[grown_key] << k * width) & full
-            if lows[grown_key] + k < order:
+            states[grown] = value
+            if value & growing:
                 opened = ready
-                for s in succs[j]:
-                    if not preds[s] & ~grown:
-                        opened |= 1 << s
-                stack.append((grown, opened, k, grown_key))
-    return states, bit
+                for preds, bit in succs:
+                    if preds & grown == preds:
+                        opened |= bit
+                stack.append((grown, opened, shift + width, grown_key))
+    return states
 
 
 class VertexCache(namedtuple("VertexCache", "directory")):
@@ -517,11 +643,17 @@ class VertexCache(namedtuple("VertexCache", "directory")):
         return rec
 
     def put(self, record):
+        """Write the record under its key.  The directory is made only when
+        the temp file cannot be created in it, so a batch of writes makes it
+        at most once."""
         cfg = LegConfig(record.lam, record.mu, record.nu)
         tmp = None
         try:
-            os.makedirs(self.directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            try:
+                fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            except FileNotFoundError:
+                os.makedirs(self.directory, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(record.to_json_dict(), sort_keys=True))
             os.replace(tmp, self._path(cfg.canonical_key(record.order)))
@@ -597,7 +729,7 @@ def estimate_nodes(cfg, order):
     Building the candidate poset is cheap next to counting; the CLI reports
     its size before very large runs.
     """
-    return (len(_candidate_poset(cfg, order)),)
+    return (sum(map(len, _candidate_slices(cfg, order))),)
 
 
 def minimal_element_count(cfg):

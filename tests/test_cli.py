@@ -492,7 +492,7 @@ def test_large_vertex_builds_its_poset_once(capsys, monkeypatch):
     vertex.clear_memo()
     code, out, err = run(capsys, "vertex", "--legs", "4,3;;", "--p-order", "3")
     assert code == 0
-    info = vertex._candidate_poset.cache_info()
+    info = vertex._candidate_slices.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     cfg = vertex.LegConfig(Partition((4, 3)), Partition(), Partition())
     (boxes,) = vertex.estimate_nodes(cfg, 3)

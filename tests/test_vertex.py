@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import shutil
 import sys
 
 import pytest
@@ -328,6 +329,20 @@ def test_memo_hit_reads_each_cache_key_once(tmp_path, monkeypatch):
     tilde_vertex(cfg, 5)
     assert tilde_vertex(cfg, 4, cache).counts == rec.counts[:5]
     assert gets == [4, 4] and os.path.exists(path)  # clear_memo() forgets what was written
+
+
+def test_cache_write_makes_its_directory_again(tmp_path):
+    """put makes the directory when it cannot create its temp file there, so a
+    directory removed between two writes does not lose the second."""
+    cache = VertexCache(tmp_path / "c")
+    cfg = legs((1,), (), ())
+    rec = tilde_vertex(cfg, 4)
+    path = cache._path(cfg.canonical_key(4))
+    for _ in range(2):
+        cache.put(rec)
+        assert cache.get(cfg, 4) == rec
+        shutil.rmtree(cache.directory)
+    assert not os.path.exists(path)
 
 
 def test_memo_writes_a_relative_cache_directory_after_chdir(tmp_path, monkeypatch):

@@ -17,7 +17,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ellipticdt.partitions import enumerate_partitions  # noqa: E402
-from ellipticdt.vertex import LegConfig, _candidate_poset, _walk  # noqa: E402
+from ellipticdt.vertex import LegConfig, _candidate_slices, _walk  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -52,7 +52,9 @@ def brute_candidates(cfg, order):
 @given(legs, legs, legs, st.integers(0, 7))
 def test_candidate_poset_is_its_definition(lam, mu, nu, order):
     cfg = LegConfig(lam, mu, nu)
-    assert _candidate_poset(cfg, order) == brute_candidates(cfg, order)
+    slices = _candidate_slices(cfg, order)
+    flat = sorted((rho, sigma, tau) for tau, cells in enumerate(slices) for rho, sigma in cells)
+    assert flat == brute_candidates(cfg, order)
 
 
 def macmahon_box(a, b, c):
@@ -73,5 +75,5 @@ def macmahon_box(a, b, c):
 
 @pytest.mark.parametrize("a,b,c", [(1, 1, 1), (2, 2, 2), (1, 3, 5), (3, 3, 4), (4, 4, 5)])
 def test_slice_counts_of_a_full_box_match_macmahon(a, b, c):
-    cube = list(itertools.product(range(a), range(b), range(c)))
+    cube = [tuple(itertools.product(range(a), range(b)))] * c
     assert _walk([cube], a * b * c)[0] == macmahon_box(a, b, c)

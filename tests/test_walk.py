@@ -10,6 +10,7 @@ import contextlib
 import io
 import itertools
 import json
+import operator
 
 import pytest
 
@@ -19,7 +20,14 @@ from ellipticdt.vertex import LegConfig, VertexCache, minimal_volume
 
 
 def one_by_one(cfg, order):
-    return tuple(vertex._walk([vertex._candidate_poset(cfg, order)], order)[0])
+    return tuple(vertex._walk([vertex._candidate_slices(cfg, order)], order)[0])
+
+
+def slices_of(boxes):
+    """The tau-slices of a sorted list of boxes (rho, sigma, tau), as
+    _candidate_slices gives them."""
+    top = max((tau for _, _, tau in boxes), default=-1)
+    return [tuple((r, s) for r, s, t in boxes if t == tau) for tau in range(top + 1)]
 
 
 def pass_configs(q_order):
@@ -57,10 +65,10 @@ def walk_sizes(monkeypatch):
     sizes = []
     real = vertex._walk
 
-    def noted(cand_sets, order):
-        cand_sets = list(cand_sets)
-        sizes.append(len(cand_sets))
-        return real(cand_sets, order)
+    def noted(slice_sets, order):
+        slice_sets = list(slice_sets)
+        sizes.append(len(slice_sets))
+        return real(slice_sets, order)
 
     monkeypatch.setattr(vertex, "_walk", noted)
     return sizes
@@ -95,8 +103,8 @@ def test_orbit_key_is_shared_by_the_orbit_and_by_nothing_else():
 
 def test_walk_of_equal_empty_and_prefix_sets():
     """Repeated sets read their counts off the path; an empty set counts one ideal."""
-    cube = list(itertools.product(range(2), range(2), range(3)))
-    lower = [box for box in cube if box[2] < 2]
+    cube = slices_of(list(itertools.product(range(2), range(2), range(3))))
+    lower = cube[:2]
     order = 12
     alone = [vertex._walk([c], order)[0] for c in (cube, lower, [])]
     got = vertex._walk([cube, lower, cube, [], lower, cube], order)
@@ -104,14 +112,89 @@ def test_walk_of_equal_empty_and_prefix_sets():
     assert alone[2] == [1] + [0] * order
 
 
+def sized_boxes(cfg, span):
+    """Each box of P in the cube [0, span)^3 with its down-set size in P, sorted.
+
+    The down-set of (r, s, t) in P is the boxes of P in [0, r] x [0, s] x
+    [0, t]; prefix sums of P's indicator along each axis count them.
+    """
+    cube = range(span)
+    size = [
+        [list(itertools.accumulate(not cfg.in_legs(r, s, t) for t in cube)) for s in cube]
+        for r in cube
+    ]
+    for plane in size:
+        for s in cube[1:]:
+            plane[s] = list(map(operator.add, plane[s], plane[s - 1]))
+    for r in cube[1:]:
+        size[r] = [list(map(operator.add, a, b)) for a, b in zip(size[r], size[r - 1])]
+    boxes = itertools.product(cube, repeat=3)
+    return [((r, s, t), size[r][s][t]) for r, s, t in boxes if not cfg.in_legs(r, s, t)]
+
+
+def test_candidate_slices_are_their_definition_on_small_legs():
+    """Every config with legs of size <= 3, the third leg included, at orders 0..8.
+
+    A box of P whose down-set has at most 8 boxes has every coordinate below
+    8 + 2 * (the largest part or length of a leg), the cube scanned; see
+    test_vertex_properties.brute_candidates.
+    """
+    parts = [lam for n in range(4) for lam in enumerate_partitions(n)]
+    for legs in itertools.product(parts, repeat=3):
+        cfg = LegConfig(*legs)
+        sized = sized_boxes(cfg, 8 + 2 * max(max(leg.first_part(), leg.length()) for leg in legs))
+        for order in range(9):
+            slices = vertex._candidate_slices(cfg, order)
+            assert all(list(cells) == sorted(cells) for cells in slices) and all(slices[-1:])
+            flat = sorted((r, s, t) for t, cells in enumerate(slices) for r, s in cells)
+            assert flat == [box for box, size in sized if size <= order], (cfg, order)
+
+
+def test_link_table_sets_up_each_pair_of_slices_once(monkeypatch):
+    """The 979 steps of a cold q6/p12 batch use 199 distinct (slice below, slice) links."""
+    links, steps = [], []
+    real_link, real_step = vertex._link, vertex._step
+    monkeypatch.setattr(vertex, "_link", lambda *args: links.append(args) or real_link(*args))
+    monkeypatch.setattr(vertex, "_step", lambda *args: steps.append(args[0]) or real_step(*args))
+    vertex.clear_memo()
+    vertex._count_batch(pass_configs(6), 12)
+    assert (len(links), len(set(links)), len(steps)) == (199, 199, 979)
+    assert len(set(map(id, steps))) == 199
+
+
+def minimal_boxes(slices):
+    """The boxes of a candidate set none of whose three lower neighbours is a candidate."""
+    boxes = {(r, s, t) for t, cells in enumerate(slices) for r, s in cells}
+    return sum(not {(r - 1, s, t), (r, s - 1, t), (r, s, t - 1)} & boxes for r, s, t in boxes)
+
+
+@pytest.mark.parametrize(
+    "cfgs,order",
+    [pytest.param(small_configs(), order, id="small-%d" % order) for order in (0, 1, 3, 7)]
+    + [pytest.param(pass_configs(8), 16, id="q8p16")],
+)
+def test_width_bound_holds_every_count(monkeypatch, cfgs, order):
+    """The bound each set gets from its size and its minimal boxes is at least
+    each of its counts, on the 512 small pairs and the 199 q8/p16 configs."""
+    bounds = []
+    real = vertex._bound
+    monkeypatch.setattr(vertex, "_bound", lambda *args: bounds.append(args) or real(*args))
+    sets = [vertex._candidate_slices(cfg, order) for cfg in cfgs]
+    counts = vertex._walk(sets, order)
+    assert len(bounds) == len(sets)
+    for slices, (size, minimal, o), c in zip(sets, bounds, counts):
+        assert (size, minimal, o) == (sum(map(len, slices)), minimal_boxes(slices), order)
+        assert real(size, minimal, order) >= max(c)
+
+
 def test_cold_q4p8_pass_counts_29_orbits_in_one_walk_and_writes_34_records(tmp_path, monkeypatch):
     walks = []
     real = vertex._walk
 
-    def noted(cand_sets, order):
-        cand_sets = list(cand_sets)
-        walks.append((len(cand_sets), order))
-        return real(cand_sets, order)
+    def noted(slice_sets, order):
+        slice_sets = list(slice_sets)
+        walks.append((len(slice_sets), order))
+        return real(slice_sets, order)
 
     monkeypatch.setattr(vertex, "_walk", noted)
     check_all("--q-order", "4", "--p-order", "8", "--cache-dir", str(tmp_path))
@@ -146,8 +229,8 @@ def test_single_vertex_counts_once_in_its_own_orientation(capsys, monkeypatch):
     walks = []
     real = vertex._walk
 
-    def noted(cand_sets, order):
-        walks.append((list(cand_sets), order))
+    def noted(slice_sets, order):
+        walks.append((list(slice_sets), order))
         return real(*walks[-1])
 
     monkeypatch.setattr(vertex, "_walk", noted)
@@ -155,7 +238,7 @@ def test_single_vertex_counts_once_in_its_own_orientation(capsys, monkeypatch):
     assert cli.main(["vertex", "--legs", "4,3;;", "--p-order", "3"]) == 0
     capsys.readouterr()
     cfg = LegConfig(Partition((4, 3)), EMPTY, EMPTY)
-    assert walks == [([vertex._candidate_poset(cfg, 3)], 3)]
+    assert walks == [([vertex._candidate_slices(cfg, 3)], 3)]
 
 
 def test_warm_pass_counts_nothing(tmp_path, monkeypatch):
@@ -197,7 +280,7 @@ def test_clear_memo_forgets_counts_and_notes():
 @pytest.mark.parametrize(
     "argv,walks",
     [
-        (("check", "all", "--q-order", "2", "--p-order", "5"), [8, 8, 13]),
+        (("check", "all", "--q-order", "2", "--p-order", "5"), [29]),
         (("fd", "--smooth", "2,1", "--nodal", "3", "--p-order", "6"), [16]),
         (("dt", "--side", "sum", "--q-order", "2", "--p-order", "6"), [8]),
         (("dtfib", "--side", "sum", "--q-order", "2", "--p-order", "6"), [8]),
