@@ -283,14 +283,12 @@ def _symprod_results(q_order, exponents, seed, random_tables):
     "symprod-random"), each checked at every exponent.
     """
     ones = {a: HalfLaurent({0: 1}) for a in range(1, q_order + 1)}
-    for e in exponents:
-        rep = dtseries.symprod_check(ones, e, q_order)
+    for e, rep in zip(exponents, dtseries.symprod_check(ones, exponents, q_order)):
         yield "symprod-constant", "symprod-constant-e%+d" % e, rep.equal
     rng = random.Random(seed)
     for i in range(random_tables):
         table = _random_g_table(rng, q_order)
-        for e in exponents:
-            rep = dtseries.symprod_check(table, e, q_order)
+        for e, rep in zip(exponents, dtseries.symprod_check(table, exponents, q_order)):
             yield "symprod-random", "symprod-random%02d-e%+d" % (i, e), rep.equal
 
 

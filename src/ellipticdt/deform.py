@@ -49,7 +49,7 @@ def euler_data(surf):
         raise ValueError("eS must be a positive multiple of 12, got %d" % surf.eS)
     chi_os = surf.eS // 12
     chi_ob = surf.eB // 2
-    return EulerData(chiOS=chi_os, chiOB=chi_ob, h0_NBT=chi_os - chi_ob, h0_NBS=0)
+    return EulerData(chi_os, chi_ob, chi_os - chi_ob, 0)
 
 
 def chi_OC(desc):
@@ -90,12 +90,13 @@ def haiman_basis_2d(lam):
     """
     if not lam:
         raise ValueError("the empty partition has no arrow basis")
+    cols = lam.conjugate().parts  # column a has cols[a] cells
     arrows = []
-    for a, b in lam.cells():
-        col_top = lam.column_height(a)
-        row_end = lam.parts[b]
-        arrows.append(HaimanArrow(tail=(a, col_top), head=(row_end - 1, b), kind="southeast"))
-        arrows.append(HaimanArrow(tail=(row_end, b), head=(a, col_top - 1), kind="northwest"))
+    for b, row_end in enumerate(lam.parts):
+        for a in range(row_end):
+            col_top = cols[a]
+            arrows.append(HaimanArrow((a, col_top), (row_end - 1, b), "southeast"))
+            arrows.append(HaimanArrow((row_end, b), (a, col_top - 1), "northwest"))
     return arrows
 
 

@@ -20,12 +20,10 @@ weights, prefactors, product factors and product sides go through
 vertex.memoized (one lru_cache per builder, keyed by its arguments), so one
 `check all` builds each once and raises each unit to each exponent once, and
 the exponents of one unit share their squarings (series.power keeps its steps
-on the base); vertex.clear_memo() drops them with the vertex records.  The
-symmetric-product terms of a weight table and its base series
-(_symprod_products) are built once for every exponent symprod_check checks and
-held for the latest table only (vertex.memoized_latest); the multinomial
-coefficients of each exponent (_multinomials) are built once for every table;
-each point product of f_d_series (_point_product) is built from its prefix.
+on the base); vertex.clear_memo() drops them with the vertex records.
+symprod_check takes all exponents of a weight table at once and builds every
+symmetric-product term and coefficient in one walk over the partitions; each
+point product of f_d_series (_point_product) is built from its prefix.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from .series import (
     substitute_neg_p,
     theta,
 )
-from .vertex import LegConfig, expect, memoized, memoized_latest, tilde_vertex
+from .vertex import LegConfig, expect, memoized, tilde_vertex
 
 
 class SurfaceData(namedtuple("SurfaceData", "eB eS")):
@@ -439,73 +437,49 @@ def behrend_transform(a, chi_os):
 # Symmetric-product expansion check
 
 
-def symprod_check(g_table, e, q_order):
-    """Check the symmetric-product expansion for a weight table g with g(0)=1.
+def symprod_check(g_table, exponents, q_order):
+    """Check the symmetric-product expansion of a weight table g with g(0)=1 at
+    each exponent e of exponents; returns one comparison per exponent, in order.
 
     LHS expands sum_d q^d sum over multiplicity tuples (m_1, m_2, ...) with
     sum j*m_j = d of prod g(j)^(m_j) times the generalized multinomial
-    coefficient of e; RHS is (sum_a g(a) q^a)^e.  Returns the comparison.
+    coefficient e(e-1)...(e-M+1)/prod m_j! (M = sum m_j parts); RHS is
+    (sum_a g(a) q^a)^e.
 
-    The coefficients depend on e and q_order only, so they come from
-    _multinomials, built once per exponent.  The products do not depend on
-    e, so they come from _symprod_products, built once per table with the
-    base series, whose powers then share one inverse and their squarings.
+    One walk over the partitions of degree <= q_order builds every left side.
+    A partition's product is its parent's (the partition without its last,
+    smallest, part j, of lower degree and so walked before it) times g(j),
+    and its coefficient at e is its parent's times (e - M')/m_j, M' the
+    parent's number of parts.  That division is exact: both coefficients are
+    integers (a binomial coefficient of e times a multinomial one), so the
+    parent's times (e - M') is m_j times the partition's.  Each partition's
+    product is added to the rows of the exponents where its coefficient is
+    nonzero.  The right sides are powers of one base series, which share its
+    one inverse and its squarings.
     """
+    exponents = tuple(exponents)
     table = {int(a): hl for a, hl in g_table.items()}
     weights = [table.get(a, HalfLaurent()) for a in range(1, q_order + 1)]
-    key = tuple((a, tuple(w.items())) for a, w in enumerate(weights, 1) if not w.is_zero())
-    base, products = _symprod_products(key, q_order)
-    lhs_rows = [HalfLaurent({0: 1})]
-    for terms in _multinomials(e, q_order):
-        acc = {}
-        for parts, coeff in terms:
-            for x, v in products[parts].c.items():
-                acc[x] = acc.get(x, 0) + coeff * v
-        lhs_rows.append(HalfLaurent._raw({x: v for x, v in acc.items() if v}))
-    return compare(PQSeries.exact(lhs_rows), power(base, e))
-
-
-@memoized
-def _multinomials(e, q_order):
-    """For d = 1..q_order, the (parts, coefficient) of every partition of d whose
-    coefficient e(e-1)...(e-M+1)/prod m_i! (M parts, m_i of size i) is nonzero.
-
-    Each term comes from its parent, the partition without its last
-    (smallest) part j, which has a lower degree and so comes first: the
-    coefficient gains (e - M')/m_j, with M' the parent's number of parts.
-    """
-    coeffs = {(): 1}
-    out = []
+    one = HalfLaurent({0: 1})
+    walked = {(): (one, (1,) * len(exponents))}
+    rows = [[one] for _ in exponents]
     for d in range(1, q_order + 1):
-        row = []
+        accs = [{} for _ in exponents]
         for lam in enumerate_partitions(d):
             parent, j = lam.parts[:-1], lam.parts[-1]
-            coeff = coeffs[parent] * (e - len(parent)) // lam.parts.count(j)
-            coeffs[lam.parts] = coeff
-            if coeff:
-                row.append((lam.parts, coeff))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-@memoized_latest
-def _symprod_products(key, q_order):
-    """(base, products): the base 1 + sum_a g(a) q^a, and parts -> prod g(j) over
-    the parts for every partition of degree <= q_order.
-
-    key is the table's nonzero weights g(a), a <= q_order, as (a, sorted terms).
-    Each product is its parent's (the partition without its last part j) times g(j).
-    Only the latest table's products and base (with the powers power() keeps on
-    it) are held: its exponents are checked one after another, so memory stays
-    bounded by one table however many are checked.
-    """
-    table = {a: HalfLaurent(terms) for a, terms in key}
-    weights = [table.get(a, HalfLaurent()) for a in range(1, q_order + 1)]
-    products = {(): HalfLaurent({0: 1})}
-    for d in range(1, q_order + 1):
-        for lam in enumerate_partitions(d):
-            products[lam.parts] = products[lam.parts[:-1]] * weights[lam.parts[-1] - 1]
-    return PQSeries.exact([HalfLaurent({0: 1})] + weights), products
+            product, coeffs = walked[parent]
+            product = product * weights[j - 1]
+            m, n = lam.parts.count(j), len(parent)
+            coeffs = tuple(c * (e - n) // m for c, e in zip(coeffs, exponents))
+            walked[lam.parts] = product, coeffs
+            for acc, coeff in zip(accs, coeffs):
+                if coeff:
+                    for x, v in product.c.items():
+                        acc[x] = acc.get(x, 0) + coeff * v
+        for row, acc in zip(rows, accs):
+            row.append(HalfLaurent._raw({x: v for x, v in acc.items() if v}))
+    base = PQSeries.exact([one] + weights)
+    return [compare(PQSeries.exact(row), power(base, e)) for row, e in zip(rows, exponents)]
 
 
 # ---------------------------------------------------------------------------

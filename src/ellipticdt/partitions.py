@@ -14,7 +14,7 @@ from functools import lru_cache
 class Partition:
     """A weakly decreasing tuple of positive integers; Partition() is empty."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_conjugate")
 
     def __init__(self, parts=()):
         parts = tuple(int(x) for x in parts)
@@ -24,6 +24,7 @@ class Partition:
             if i and parts[i - 1] < x:
                 raise ValueError("partition parts must be weakly decreasing: %r" % (parts,))
         self.parts = parts
+        self._conjugate = None
 
     @classmethod
     def parse(cls, text):
@@ -46,14 +47,15 @@ class Partition:
         return sum(x * x for x in self.parts)
 
     def conjugate(self):
-        """Transposed diagram: column heights become the parts."""
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for x in self.parts:
-            for j in range(x):
-                cols[j] += 1
-        return Partition(cols)
+        """Transposed diagram: column heights become the parts.  Built at the
+        first call and kept on the partition, a value derived from its parts."""
+        if self._conjugate is None:
+            cols = [0] * self.first_part()
+            for x in self.parts:
+                for j in range(x):
+                    cols[j] += 1
+            self._conjugate = Partition(cols)
+        return self._conjugate
 
     def contains(self, rho, sigma):
         """Whether the cell (rho, sigma) lies in the diagram (rho < lam[sigma])."""

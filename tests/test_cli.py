@@ -422,19 +422,33 @@ def test_check_all_builds_each_product_unit_once(capsys, monkeypatch):
     assert len(set(built)) == len(built)
 
 
-def test_check_all_builds_each_multinomial_table_once(capsys, monkeypatch):
-    """symprod_check asks for the coefficients of each (e, q_order) once per table;
-    a pass builds each of them once."""
-    asked = []
-    real = dtseries._multinomials
-    monkeypatch.setattr(
-        dtseries, "_multinomials", lambda *args: asked.append(args) or real(*args)
-    )
+def test_check_all_checks_each_symprod_table_in_one_call(capsys, monkeypatch):
+    """A pass checks each of its 21 weight tables in one symprod_check call, and
+    the seven exponents of a table raise one base: power sees 21 distinct bases."""
+    checks, bases, inside = [], [], []
+    real_check, real_power = dtseries.symprod_check, dtseries.power
+
+    def check(*args):
+        checks.append(args)
+        inside.append(True)
+        try:
+            return real_check(*args)
+        finally:
+            inside.pop()
+
+    def power(base, e):
+        if inside:
+            bases.append(base)
+        return real_power(base, e)
+
+    monkeypatch.setattr(dtseries, "symprod_check", check)
+    monkeypatch.setattr(dtseries, "power", power)
     vertex.clear_memo()
     code, _, _ = run(capsys, "check", "all", "--q-order", "2", "--p-order", "5")
     assert code == 0
-    assert {e for e, _ in asked} == set(range(-3, 4))
-    assert real.cache_info().misses == len(set(asked)) < len(asked)
+    assert len(checks) == 21
+    assert len(bases) == 21 * 7
+    assert len({id(base) for base in bases}) == 21
 
 
 def test_check_all_raises_one_base_per_vertex_value(capsys, monkeypatch):

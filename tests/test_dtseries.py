@@ -25,8 +25,6 @@ from ellipticdt.dtseries import (
     identity_b,
     identity_c,
     symprod_check,
-    _multinomials,
-    _symprod_products,
 )
 from ellipticdt.partitions import enumerate_partitions
 from ellipticdt.series import (
@@ -239,9 +237,8 @@ def test_behrend_involution_randomized():
 
 
 def test_symprod_constant_table_matches_binomial_series():
-    for e in range(-3, 4):
-        table = {a: HalfLaurent({0: 1}) for a in range(1, 7)}
-        rep = symprod_check(table, e, 6)
+    table = {a: HalfLaurent({0: 1}) for a in range(1, 7)}
+    for e, rep in zip(range(-3, 4), symprod_check(table, range(-3, 4), 6)):
         assert rep.equal
         # and the right side is the binomial series (1-q)^(-e)
         want = power(linear_factor(0, 1, 1, 6, (0, 2)), -e)
@@ -250,7 +247,7 @@ def test_symprod_constant_table_matches_binomial_series():
 
 def test_symprod_exponent_one():
     table = {1: HalfLaurent({-2: 3, 0: 1}), 2: HalfLaurent({2: -4})}
-    rep = symprod_check(table, 1, 4)
+    (rep,) = symprod_check(table, [1], 4)
     assert rep.equal
     assert rep.side_a.coeffs[1] == table[1]
     assert rep.side_a.coeffs[2] == table[2]
@@ -260,7 +257,7 @@ def test_symprod_exponent_one():
 def test_symprod_exponent_minus_one_single_weight():
     c = 5
     table = {1: HalfLaurent({0: c})}
-    rep = symprod_check(table, -1, 5)
+    (rep,) = symprod_check(table, [-1], 5)
     assert rep.equal
     for d in range(6):
         assert rep.side_a.coeffs[d][0] == (-c) ** d
@@ -274,8 +271,7 @@ def test_symprod_randomized():
             table[a] = HalfLaurent(
                 {2 * rng.randint(-2, 3): rng.randint(-5, 5) for _ in range(3)}
             )
-        for e in range(-3, 4):
-            assert symprod_check(table, e, 4).equal
+        assert all(rep.equal for rep in symprod_check(table, range(-3, 4), 4))
 
 
 def test_symprod_zero_and_missing_weights():
@@ -284,8 +280,9 @@ def test_symprod_zero_and_missing_weights():
     g1, g4 = HalfLaurent({-2: 3, 0: 1}), HalfLaurent({0: -2, 4: 5})
     with_zero = {1: g1, 2: HalfLaurent(), 4: g4}
     without = {1: g1, 4: g4}
-    for e in range(-3, 4):
-        rep, ref = symprod_check(with_zero, e, 5), symprod_check(without, e, 5)
+    reps = symprod_check(with_zero, range(-3, 4), 5)
+    refs = symprod_check(without, range(-3, 4), 5)
+    for e, rep, ref in zip(range(-3, 4), reps, refs):
         assert rep.equal and ref.equal, e
         assert rep.side_a == ref.side_a and rep.side_b == ref.side_b, e
         assert rep.side_a.coeffs[2] == (g1 * g1).scale(e * (e - 1) // 2), e
@@ -303,8 +300,8 @@ def test_dt_hat_third_route_via_multinomial_sums():
         surf = SurfaceData(eb, es)
         g_table = {a: g_of(a, n_order) for a in range(1, q_order + 1)}
         h_table = {b: h_of(b, n_order) for b in range(1, q_order + 1)}
-        g_pow = symprod_check(g_table, eb - es, q_order).side_a
-        h_pow = symprod_check(h_table, es, q_order).side_a
+        g_pow = symprod_check(g_table, [eb - es], q_order)[0].side_a
+        h_pow = symprod_check(h_table, [es], q_order)[0].side_a
         f1, f2 = F1F2(n_order)
         third = power(_embed(f1, q_order), eb) * power(_embed(f2, q_order), es)
         third = third * g_pow * h_pow
@@ -517,23 +514,12 @@ def test_symprod_products_shared_across_exponents_never_change_a_result():
     for name, table in tables.items():
         for e in range(-3, 4):
             clear_memo()
-            rep = symprod_check(table, e, 5)
+            (rep,) = symprod_check(table, [e], 5)
             cold[name, e] = rep.side_a, rep.side_b
     clear_memo()
-    for e in range(3, -4, -1):  # all in one memo, the products built at e = 3
-        for name, table in tables.items():
-            rep = symprod_check(table, e, 5)
+    for name, table in tables.items():  # all exponents in one call, from e = 3 down
+        for e, rep in zip(range(3, -4, -1), symprod_check(table, range(3, -4, -1), 5)):
             assert (rep.side_a, rep.side_b) == cold[name, e], (name, e)
-
-
-def test_symprod_products_hold_one_table():
-    """The products of the latest table only, however many tables are checked."""
-    clear_memo()
-    for shift in (0, 2):
-        table = {a: HalfLaurent({shift: a}) for a in range(1, 5)}
-        symprod_check(table, 2, 4)
-    info = _symprod_products.cache_info()
-    assert (info.maxsize, info.currsize, info.misses) == (1, 1, 2)
 
 
 def test_symprod_exponents_of_one_table_invert_once(monkeypatch):
@@ -543,8 +529,8 @@ def test_symprod_exponents_of_one_table_invert_once(monkeypatch):
     monkeypatch.setattr(series, "invert", lambda a: inverted.append(a) or real(a))
     clear_memo()
     table = {a: HalfLaurent({0: a, 2: 1}) for a in range(1, 5)}
-    for e in range(-3, 4):
-        assert symprod_check(table, e, 4).equal, e
+    for e, rep in zip(range(-3, 4), symprod_check(table, range(-3, 4), 4)):
+        assert rep.equal, e
     assert len(inverted) == 1
 
 
@@ -625,15 +611,20 @@ def test_memo_still_writes_each_cache_directory(tmp_path):
 
 
 def test_multinomials_equal_the_direct_formula():
-    """e(e-1)...(e-M+1)/prod m_i! for M parts, m_i of them of size i; zero terms left out."""
-    for e in range(-3, 4):
-        table = _multinomials(e, 6)
-        assert len(table) == 6
-        for d, terms in enumerate(table, 1):
+    """e(e-1)...(e-M+1)/prod m_i! for M parts, m_i of them of size i; zero terms left out.
+
+    With g(a) = p^(2 B^(a-1)) and B > q_order, each partition of d <= q_order
+    has its own monomial, p to 2 times the sum of B^(j-1) over its parts j, so
+    the left side's coefficient there is the partition's coefficient."""
+    q_order, base = 6, 7
+    table = {a: HalfLaurent({2 * base ** (a - 1): 1}) for a in range(1, q_order + 1)}
+    for e, rep in zip(range(-3, 4), symprod_check(table, range(-3, 4), q_order)):
+        assert rep.equal, e
+        for d in range(1, q_order + 1):
             want = {}
             for lam in enumerate_partitions(d):
                 falling = math.prod(e - i for i in range(len(lam.parts)))
                 repeats = math.prod(math.factorial(m) for m in Counter(lam.parts).values())
                 if falling:
-                    want[lam.parts] = Fraction(falling, repeats)
-            assert dict(terms) == want, (e, d)
+                    want[2 * sum(base ** (j - 1) for j in lam.parts)] = Fraction(falling, repeats)
+            assert dict(rep.side_a.coeffs[d].items()) == want, (e, d)

@@ -113,12 +113,10 @@ def symprod_digest(table):
 
     The report's window is left out, so a line changes with a coefficient and
     not with the rule for the aggregate window."""
-    sides, code = [], 0
-    for e in range(-3, 4):
-        rep = dtseries.symprod_check(table, e, 6)
-        sides.append([rep.side_a.to_json_dict(), rep.side_b.to_json_dict()])
-        code = code if rep.equal else 2
+    reps = dtseries.symprod_check(table, range(-3, 4), 6)
+    sides = [[rep.side_a.to_json_dict(), rep.side_b.to_json_dict()] for rep in reps]
     text = json.dumps(sides, sort_keys=True)
+    code = 0 if all(rep.equal for rep in reps) else 2
     return code, hashlib.sha256(text.encode()).hexdigest()
 
 
