@@ -422,6 +422,33 @@ def test_check_all_builds_each_product_unit_once(capsys, monkeypatch):
     assert len(set(built)) == len(built)
 
 
+def test_check_all_builds_each_multinomial_table_once(capsys, monkeypatch):
+    """A pass builds the multinomial coefficients of each weight table once, in
+    one walk: each symprod_check call walks each degree 1..q_order once."""
+    walks, inside = [], []
+    real_check, real_enumerate = dtseries.symprod_check, dtseries.enumerate_partitions
+
+    def check(g_table, exponents, q_order):
+        inside.append([])
+        try:
+            return real_check(g_table, exponents, q_order)
+        finally:
+            walks.append((q_order, inside.pop()))
+
+    def enumerate_partitions(d):
+        if inside:
+            inside[-1].append(d)
+        return real_enumerate(d)
+
+    monkeypatch.setattr(dtseries, "symprod_check", check)
+    monkeypatch.setattr(dtseries, "enumerate_partitions", enumerate_partitions)
+    vertex.clear_memo()
+    code, _, _ = run(capsys, "check", "all", "--q-order", "2", "--p-order", "5")
+    assert code == 0
+    assert len(walks) == 21
+    assert all(degrees == list(range(1, q_order + 1)) for q_order, degrees in walks)
+
+
 def test_check_all_checks_each_symprod_table_in_one_call(capsys, monkeypatch):
     """A pass checks each of its 21 weight tables in one symprod_check call, and
     the seven exponents of a table raise one base: power sees 21 distinct bases."""

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellipticdt import series
+from ellipticdt import dtseries, series
 from ellipticdt.cli import SURFACE_PAIRS, point_configs
 from ellipticdt.dtseries import (
     F1F2,
@@ -520,6 +520,24 @@ def test_symprod_products_shared_across_exponents_never_change_a_result():
     for name, table in tables.items():  # all exponents in one call, from e = 3 down
         for e, rep in zip(range(3, -4, -1), symprod_check(table, range(3, -4, -1), 5)):
             assert (rep.side_a, rep.side_b) == cold[name, e], (name, e)
+
+
+def test_symprod_products_hold_one_table(monkeypatch):
+    """The products of one table only, built in one walk for all its exponents:
+    each table checked walks each degree once, and none reuses another's."""
+    walked = []
+    real = dtseries.enumerate_partitions
+    monkeypatch.setattr(dtseries, "enumerate_partitions", lambda d: walked.append(d) or real(d))
+    clear_memo()
+    sides = []
+    for shift in (0, 2):
+        table = {a: HalfLaurent({shift: a}) for a in range(1, 5)}
+        reps = symprod_check(table, range(-3, 4), 4)
+        assert all(rep.equal for rep in reps), shift
+        sides.append([rep.side_a for rep in reps])
+    assert walked == [1, 2, 3, 4] * 2
+    for e, first, second in zip(range(-3, 4), *sides):
+        assert (first != second) == (e != 0), e
 
 
 def test_symprod_exponents_of_one_table_invert_once(monkeypatch):
