@@ -367,11 +367,10 @@ def dt_hat(surf, q_order, order, side="product", p_window=None, cache=None):
     """
     if side == "sum":
         t = _Tilde(order, cache)
-        _note_rows(q_order, t)
-        out = _embed(_factored_prefactor(surf.eB, surf.eS, t), q_order)
-        out = out * _raised(_q_series, surf.eB - surf.eS, _smooth_weight, q_order, t)
-        out = out * _raised(_q_series, surf.eS, _nodal_weight, q_order, t)
-        return out
+        # The rows first: _q_series notes them before the first vertex request.
+        smooth = _raised(_q_series, surf.eB - surf.eS, _smooth_weight, q_order, t)
+        nodal = _raised(_q_series, surf.eS, _nodal_weight, q_order, t)
+        return _embed(_factored_prefactor(surf.eB, surf.eS, t), q_order) * smooth * nodal
     if side != "product":
         raise ValueError("side must be 'sum' or 'product'")
     return _dt_hat_product(surf, q_order, _window(p_window, order))
@@ -392,11 +391,10 @@ def dt_fib(surf, q_order, order, side="product", p_window=None, cache=None):
     """
     if side == "sum":
         t = _Tilde(order, cache)
-        _note_rows(q_order, t)
-        out = _embed(_factored_prefactor(0, surf.eS, t), q_order)  # F2^eS = V~(empty)^eS
-        out = out * _raised(_q_series, surf.eB - surf.eS, _partition_count, q_order, t)
-        out = out * _raised(_q_series, surf.eS, _fiber_row, q_order, t)
-        return out
+        # The rows first: _q_series notes them before the first vertex request.
+        counts = _raised(_q_series, surf.eB - surf.eS, _partition_count, q_order, t)
+        fibers = _raised(_q_series, surf.eS, _fiber_row, q_order, t)
+        return _embed(_raised(t, surf.eS, EMPTY, EMPTY, EMPTY), q_order) * counts * fibers
     if side != "product":
         raise ValueError("side must be 'sum' or 'product'")
     return _dt_fib_product(surf, q_order, _window(p_window, order))

@@ -52,7 +52,9 @@ other: the counts are equal.
 A pass holds each vertex record it read or counted (_RECORDS, keyed by legs,
 order and cache) and memoizes the dtseries building blocks, each builder in
 its own functools.lru_cache keyed by its arguments (the cache directory
-included); clear_memo() empties them all and the notes of expect().
+included); clear_memo() empties them all and the notes of expect().  The
+candidate slices are not memoized: a walk builds each set's slices once, and
+estimate_nodes builds its own.
 
 Box membership convention (shared with partitions.Partition.contains):
 a box (rho, sigma, tau) lies in
@@ -202,25 +204,14 @@ def memoized(build):
     return cached
 
 
-def memoized_latest(build):
-    """Like memoized, but hold only the result of the latest arguments.
-
-    For a builder whose callers make all calls with one argument tuple in a
-    row: the memo then holds one of its results at a time.
-    """
-    cached = lru_cache(maxsize=1)(build)
-    _MEMOS.append(cached)
-    return cached
-
-
 _EXPECTED = {}  # (order, cache) -> functions listing the configs a pass will ask for there
 _RECORDS = {}  # (cfg, order, cache) -> every record the pass read or counted
 
 
 def clear_memo():
     """Drop the in-process memo: the vertex records a pass read or counted, the
-    configs it expects, the latest candidate poset and the dtseries building
-    blocks (disk caches are unaffected)."""
+    configs it expects and the dtseries building blocks (disk caches are
+    unaffected)."""
     for cached in _MEMOS:
         cached.cache_clear()
     _EXPECTED.clear()
@@ -231,7 +222,6 @@ def clear_memo():
 # Enumeration
 
 
-@memoized_latest
 def _candidate_slices(cfg, order):
     """The candidates, the boxes of P whose down-set within P has at most
     `order` elements, as tau-slices: slice tau is the sorted tuple of the

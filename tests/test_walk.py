@@ -294,6 +294,16 @@ def test_rows_below_q_order_4_are_counted_with_their_notes(monkeypatch, argv, wa
     assert sizes == walks
 
 
+def test_dt_fib_sum_side_never_builds_f1(monkeypatch):
+    """The dt_fib prefactor is F2^eS alone: the sum side builds no F1 to raise to 0."""
+    monkeypatch.delenv("ELLIPTICDT_CACHE", raising=False)
+    calls = []
+    real = dtseries._f1
+    monkeypatch.setattr(dtseries, "_f1", lambda t: calls.append(t) or real(t))
+    run("dtfib", "--side", "sum", "--q-order", "2", "--p-order", "6")
+    assert calls == []
+
+
 def test_damaged_record_is_counted_in_the_pass_walk(tmp_path, monkeypatch):
     """A noted key whose file does not read as its record joins the one walk."""
     argv = ("dt", "--side", "sum", "--p-order", "6", "--cache-dir", str(tmp_path))
